@@ -3,11 +3,15 @@
 Two independent routes are provided. The oracle enumerates proper
 multi-colorings with a finite color supply and accumulates monomials
 weighted by the ascent statistic. The word route assembles the omega
-image of the function from fundamental quasisymmetric pieces indexed by
-descent sets of words, then changes basis. Theorem-driven coefficient
-formulas (pairings, rank profiles of heaps, sink counts) are always
-cross-checked against the linear-algebra route; a disagreement raises
-CrossCheckError.
+image of the function as the sum over words w of q^inv(w) F_Des(w): a
+dynamic program over word prefixes, keyed by (used multiset, last
+letter), sums the q-weights per descent set, and a subset-sum transform
+turns the fundamental expansion into the monomial one; the symmetry
+check then guards the result. The loop over all words of the type,
+omega_chromatic_qsym_by_words, is kept as the reference the tests
+compare against. Theorem-driven coefficient formulas (pairings, rank
+profiles of heaps, sink counts) are always cross-checked against the
+linear-algebra route; a disagreement raises CrossCheckError.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ from .heaps import (
 from .ncsf import nc_h, nc_p, nc_s, pair_gamma
 from .partitions import (
     conjugate,
+    multinomial,
     multiset_permutations,
     partitions,
     revlex_sorted,
+    subset_to_composition,
     z_factor,
 )
 from .posets import UnitIntervalOrder
@@ -152,14 +158,96 @@ def asc_des_symmetry_check(order: UnitIntervalOrder, mu, colors: int | None = No
 
 
 def omega_chromatic_qsym(order: UnitIntervalOrder, mu) -> QSymFunc:
-    """The omega image of the chromatic function, assembled from words:
-    sum over words of type mu of q^inversions times the fundamental
-    function of the descent set."""
-    return _omega_chromatic_qsym(order, tuple(mu))
+    """The omega image of the chromatic function: the sum over words of
+    type mu of q^inversions times the fundamental function of the
+    descent set, computed by a dynamic program over word prefixes."""
+    mu = tuple(mu)
+    if len(mu) != order.n:
+        raise ValueError("type vector length must equal n")
+    return _omega_chromatic_qsym(order, mu)
 
 
 @lru_cache(maxsize=256)
 def _omega_chromatic_qsym(order, mu):
+    d = sum(mu)
+    # every coefficient below, before and after the subset-sum transform,
+    # is at most the word count, so slots of this width never carry
+    width = multinomial(mu).bit_length()
+    f = [0] * (1 << max(d - 1, 0))
+    for mask, packed in _descent_polys(order, mu, width).items():
+        f[mask] = packed
+    # F_S is the sum of M_T over supersets T of S, so the coefficient of
+    # M_T is the sum of the F-coefficients over subsets S of T
+    for i in range(d - 1):
+        bit = 1 << i
+        for t in range(len(f)):
+            if t & bit:
+                f[t] += f[t ^ bit]
+    terms = {}
+    for t, packed in enumerate(f):
+        if packed:
+            cuts = [i + 1 for i in range(d - 1) if t >> i & 1]
+            terms[subset_to_composition(d, cuts)] = _unpack(packed, width)
+    return QSymFunc(d, terms)
+
+
+def _descent_polys(order, mu, width) -> dict:
+    """Descent mask -> sum of q^inversions over the words of type mu with
+    that descent set, packed into one int with `width` bits per power of
+    q. Bit i-1 of a mask stands for descent position i.
+
+    Appending letter a to a prefix adds one inversion per earlier copy of
+    a letter b in a+1..m_a (the larger letters incomparable to a), and a
+    descent exactly when the last letter lies above a, i.e. exceeds m_a.
+    Both depend only on (used multiset, last letter), so the prefixes are
+    summed per state; each state maps descent masks to polynomials.
+    """
+    m = order.m
+    n = len(mu)
+    layer = {(0,) * n: {0: {0: 1}}}  # used -> last letter -> mask -> poly
+    for k in range(sum(mu)):
+        bit = 1 << (k - 1) if k else 0
+        nxt: dict = {}
+        for used, by_last in layer.items():
+            for a in range(1, n + 1):
+                if used[a - 1] == mu[a - 1]:
+                    continue
+                top = m[a - 1]
+                acc: dict = {}
+                for last, masks in by_last.items():
+                    extra = bit if last > top else 0
+                    for mask, p in masks.items():
+                        key = mask | extra
+                        acc[key] = acc.get(key, 0) + p
+                # every prefix reaching (grown, a) comes from this `used`,
+                # so the inversion shift is applied once per mask
+                shift = sum(used[a:top]) * width
+                grown = used[: a - 1] + (used[a - 1] + 1,) + used[a:]
+                nxt.setdefault(grown, {})[a] = {
+                    mask: p << shift for mask, p in acc.items()
+                }
+        layer = nxt
+    out: dict = {}
+    for by_last in layer.values():
+        for masks in by_last.values():
+            for mask, p in masks.items():
+                out[mask] = out.get(mask, 0) + p
+    return out
+
+
+def _unpack(packed: int, width: int) -> QPoly:
+    slot = (1 << width) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & slot)
+        packed >>= width
+    return QPoly(coeffs)
+
+
+def omega_chromatic_qsym_by_words(order: UnitIntervalOrder, mu) -> QSymFunc:
+    """Reference for omega_chromatic_qsym: loops over all d!/prod(mu_a!)
+    words of type mu, one fundamental function per descent set. Tests
+    compare the dynamic program against it; keep d <= 8."""
     d = sum(mu)
     by_descents: dict = {}
     for w in multiset_permutations(mu):

@@ -1,7 +1,8 @@
 """Command-line interface: expansions, class listings, verify suites.
 
 Exit codes: 0 on success, 1 on usage or validation errors, 2 when a
-mathematical cross-check disagrees.
+mathematical cross-check disagrees or a function that must be symmetric
+is not.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from math import factorial
 
 from .chromatic import (
     CrossCheckError,
@@ -26,10 +26,11 @@ from .chromatic import (
 )
 from .heaps import enumerate_classes, enumerate_heaps
 from .ncsf import hp_recurrence_check, nc_e, nc_h, nc_p, nc_s
-from .partitions import partitions, revlex_sorted
+from .partitions import multinomial, partitions, revlex_sorted
 from .posets import UnitIntervalOrder
 from .qpoly import QPoly
 from .render import heap_svg
+from .symfunc import NotSymmetricError
 
 DEFAULT_SIZE_LIMIT = 10
 
@@ -66,7 +67,6 @@ def build_parser() -> _Parser:
     p_expand = sub.add_parser("expand", help="basis expansion of the chromatic function")
     common(p_expand)
     p_expand.add_argument("--basis", choices=list("fpsemh"), default="e")
-    p_expand.add_argument("--colors", type=int, help="color supply for the oracle")
 
     p_classes = sub.add_parser("classes", help="heaps and flip-equivalence classes")
     common(p_classes)
@@ -164,10 +164,7 @@ def cmd_expand(args) -> int:
 
 def cmd_classes(args) -> int:
     order, mu = _parse_instance(args)
-    d = sum(mu)
-    words = factorial(d)
-    for x in mu:
-        words //= factorial(x)
+    words = multinomial(mu)
     heaps = enumerate_heaps(order, mu)
     classes = enumerate_classes(order, mu)
     if args.svg:
@@ -248,7 +245,7 @@ def _run_checked(label, fn):
     try:
         fn()
         return label, True
-    except CrossCheckError:
+    except (CrossCheckError, NotSymmetricError):
         return label, False
 
 
@@ -360,6 +357,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except NotSymmetricError as exc:
+        # a subclass of ValueError, but a mathematical failure, not usage
+        print(f"cross-check failure: not symmetric: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

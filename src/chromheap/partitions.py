@@ -43,6 +43,14 @@ def z_factor(lam) -> int:
     return out
 
 
+def multinomial(mu) -> int:
+    """Number of words using letter a exactly mu[a-1] times."""
+    out = factorial(sum(mu))
+    for x in mu:
+        out //= factorial(x)
+    return out
+
+
 def dominates(lam, mu) -> bool:
     """True when lam dominates mu (partial sums of lam are at least mu's)."""
     if sum(lam) != sum(mu):

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chromheap.chromatic import (
     CrossCheckError,
@@ -19,6 +20,8 @@ from chromheap.chromatic import (
     coloring_qsym,
     expansion,
     heap_qsym,
+    omega_chromatic_qsym,
+    omega_chromatic_qsym_by_words,
     omega_chromatic_sym,
     positivity_report,
     proper_coloring_count,
@@ -109,6 +112,52 @@ def test_chain_and_antichain_expansions():
     antichain = UnitIntervalOrder((4, 4, 4, 4))
     x = chromatic_sym(antichain, (1, 1, 1, 1))
     assert x.in_basis("e") == {(4,): q_factorial(4)}
+
+
+def test_word_dp_matches_word_loop_all_small_orders():
+    for n in range(1, 7):
+        for order in UnitIntervalOrder.all_orders(n):
+            mu = (1,) * n
+            assert omega_chromatic_qsym(order, mu) == omega_chromatic_qsym_by_words(
+                order, mu
+            ), order.m
+
+
+@pytest.mark.parametrize("mu", [(1, 1, 2), (3, 2, 2), (2, 0, 2)])
+def test_word_dp_matches_word_loop_multicolor(mu):
+    assert omega_chromatic_qsym(P233, mu) == omega_chromatic_qsym_by_words(P233, mu)
+
+
+def test_word_dp_matches_word_loop_n8():
+    order = UnitIntervalOrder((2, 3, 4, 5, 6, 7, 8, 8))
+    mu = (1,) * 8
+    assert omega_chromatic_qsym(order, mu) == omega_chromatic_qsym_by_words(order, mu)
+
+
+def test_word_dp_rejects_wrong_type_length():
+    with pytest.raises(ValueError):
+        omega_chromatic_qsym(P233, (1, 1))
+
+
+@st.composite
+def orders_and_types(draw, max_size=7):
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    bounds = []
+    for i in range(1, n + 1):
+        lowest = max([i] + bounds[-1:])  # i <= m_i, weakly increasing
+        bounds.append(draw(st.integers(min_value=lowest, max_value=n)))
+    mu = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    assume(1 <= sum(mu) <= max_size)
+    return UnitIntervalOrder(bounds), mu
+
+
+@settings(max_examples=25, deadline=None)
+@given(orders_and_types())
+def test_word_dp_matches_word_loop_and_oracle(case):
+    order, mu = case
+    dp = omega_chromatic_qsym(order, mu)
+    assert dp == omega_chromatic_qsym_by_words(order, mu)
+    assert dp.to_symmetric().omega() == coloring_qsym(order, mu).to_symmetric()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import chromheap.chromatic as chromatic
 from chromheap.cli import main
+from chromheap.symfunc import QSymFunc
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -23,6 +30,34 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, )
     assert code == 1 and "command" in err
+
+
+def test_expand_has_no_colors_flag(capsys):
+    code, _, err = run(capsys, "expand", "--poset", "2,3,3", "--colors", "5")
+    assert code == 1 and "--colors" in err
+
+
+def _not_symmetric(order, mu):
+    # M_(1,2) without M_(2,1) is quasisymmetric but not symmetric
+    return QSymFunc(3, {(1, 2): 1})
+
+
+def test_not_symmetric_is_a_math_failure(capsys, monkeypatch):
+    monkeypatch.setattr(chromatic, "omega_chromatic_qsym", _not_symmetric)
+    code, out, err = run(capsys, "expand", "--poset", "2,3,3", "--mu", "1,1,1")
+    assert code == 2 and out == ""
+    assert err.startswith("cross-check failure:") and "M_[1, 2]" in err
+    assert "Traceback" not in err
+
+
+def test_verify_reports_not_symmetric_as_fail(capsys, monkeypatch):
+    monkeypatch.setattr(chromatic, "omega_chromatic_qsym", _not_symmetric)
+    code, out, _ = run(capsys, "verify", "--suite", "sinks", "--max-n", "2")
+    assert code == 2
+    lines = out.strip().splitlines()
+    # the sweep runs on past the first failure: 1 + 2 orders
+    assert len({line.split()[1] for line in lines}) == 3
+    assert all(line.startswith("FAIL") for line in lines)
 
 
 def test_guardrail(capsys):
@@ -169,3 +204,26 @@ def test_verify_all_suites_running_example(capsys):
     code, out, _ = run(capsys, "verify", "--poset", "2,3,3", "--mu", "1,1,2")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_expand_json_is_byte_deterministic():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    env.pop("CHROMHEAP_OUT", None)
+    for args in (["2,3,4,5,6,6"], ["2,3,3", "--mu", "3,2,2"]):
+        outs = set()
+        for seed in ("0", "1", "2"):
+            env["PYTHONHASHSEED"] = seed
+            cmd = [sys.executable, "-m", "chromheap.cli", "expand", "--poset"]
+            cmd += args + ["--basis", "e", "--format", "json"]
+            done = subprocess.run(
+                cmd,
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            outs.add(done.stdout)
+        assert len(outs) == 1, args
+        assert json.loads(outs.pop())["basis"] == "e"
