@@ -7,6 +7,7 @@ quotient of the free algebra by order-compatible straightening rules,
 and an exact commutative symmetric/quasisymmetric function substrate.
 """
 
+from .errors import MathematicalError
 from .qpoly import QPoly, q_int, q_factorial
 from .posets import UnitIntervalOrder, DyckPath
 from .heaps import Heap, HeapClass, enumerate_heaps, enumerate_classes
@@ -21,6 +22,7 @@ from .chromatic import (
 )
 
 __all__ = [
+    "MathematicalError",
     "QPoly",
     "q_int",
     "q_factorial",

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
+from .errors import MathematicalError
 from .heaps import (
     Heap,
     HeapClass,
@@ -43,7 +44,7 @@ from .qpoly import QPoly, q_factorial
 from .symfunc import QSymFunc, SymFunc
 
 
-class CrossCheckError(AssertionError):
+class CrossCheckError(MathematicalError, AssertionError):
     """Two supposedly equal computation paths disagreed."""
 
 
@@ -339,7 +340,9 @@ def expansion(order: UnitIntervalOrder, mu, basis: str) -> ExpansionReport:
     """Expand the chromatic function in a basis of {f, p, s, e, m, h}.
 
     f/p/s coefficients come from theorem pairings and are cross-checked
-    against the basis change of the word-route function; e coefficients
+    against the basis change of the word-route function. The pairing
+    reads only the type-mu component, so the generators are built with
+    bound=mu and never form classes of any other type. e coefficients
     additionally get theorem cross-checks at two-column and hook shapes.
     """
     mu = tuple(mu)
@@ -351,7 +354,7 @@ def expansion(order: UnitIntervalOrder, mu, basis: str) -> ExpansionReport:
         # X = sum a_lam f_lam, i.e. omega X = sum a_lam m_lam
         change = omega_x.terms
         for lam in partitions(d):
-            theorem = pair_gamma(nc_h(order, lam), mu)
+            theorem = pair_gamma(nc_h(order, lam, bound=mu), mu)
             other = change.get(lam, QPoly())
             if theorem != other:
                 raise CrossCheckError(
@@ -365,7 +368,7 @@ def expansion(order: UnitIntervalOrder, mu, basis: str) -> ExpansionReport:
         # omega X = sum (1/z_lam) b_lam p_lam; report b_lam
         change = omega_x.in_basis("p")
         for lam in partitions(d):
-            theorem = pair_gamma(nc_p(order, lam), mu)
+            theorem = pair_gamma(nc_p(order, lam, bound=mu), mu)
             other = change.get(lam, QPoly()) * z_factor(lam)
             if theorem != other:
                 raise CrossCheckError(
@@ -378,7 +381,7 @@ def expansion(order: UnitIntervalOrder, mu, basis: str) -> ExpansionReport:
     elif basis == "s":
         change = omega_x.in_basis("s")
         for lam in partitions(d):
-            theorem = pair_gamma(nc_s(order, lam), mu)
+            theorem = pair_gamma(nc_s(order, lam, bound=mu), mu)
             other = change.get(lam, QPoly())
             if theorem != other:
                 raise CrossCheckError(

@@ -1,8 +1,9 @@
 """Command-line interface: expansions, class listings, verify suites.
 
-Exit codes: 0 on success, 1 on usage or validation errors, 2 when a
-mathematical cross-check disagrees or a function that must be symmetric
-is not.
+Exit codes: 0 on success, 1 on usage or validation errors, 2 on any
+mathematical failure (a MathematicalError): a cross-check disagrees, a
+function that must be symmetric is not, or an expansion that must be
+integral is not.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import os
 import sys
 
 from .chromatic import (
-    CrossCheckError,
     asc_des_symmetry_check,
     chromatic_sym,
     closed_form_two_column,
@@ -24,6 +24,7 @@ from .chromatic import (
     positivity_report,
     sink_sum,
 )
+from .errors import MathematicalError
 from .heaps import enumerate_classes, enumerate_heaps
 from .ncsf import hp_recurrence_check, nc_e, nc_h, nc_p, nc_s
 from .partitions import multinomial, partitions, revlex_sorted
@@ -241,11 +242,12 @@ def _suite_s_equiv(order, mu, colors=None):
             yield f"s{list(lam)}-tableaux-vs-jt", ok
 
 
-def _run_checked(label, fn):
+def _run_checked(label, check):
+    """Run one check: it fails when it returns False or raises a
+    MathematicalError, and passes otherwise (whatever else it returns)."""
     try:
-        fn()
-        return label, True
-    except (CrossCheckError, NotSymmetricError):
+        return label, check() is not False
+    except MathematicalError:
         return label, False
 
 
@@ -296,7 +298,9 @@ def _suite_hp(order, mu, colors=None):
         for lam in partitions(d):
             if len(lam) >= h:
                 found = True
-                yield f"hp-{list(lam)}", hp_recurrence_check(order, lam)
+                yield _run_checked(
+                    f"hp-{list(lam)}", lambda lam=lam: hp_recurrence_check(order, lam)
+                )
     if not found:
         yield "hp-no-applicable-shape", True
 
@@ -357,16 +361,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NotSymmetricError as exc:
-        # a subclass of ValueError, but a mathematical failure, not usage
-        print(f"cross-check failure: not symmetric: {exc}", file=sys.stderr)
+    except MathematicalError as exc:
+        # before ValueError: NotSymmetricError is one, but not a usage error
+        kind = "not symmetric: " if isinstance(exc, NotSymmetricError) else ""
+        print(f"cross-check failure: {kind}{exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CrossCheckError as exc:
-        print(f"cross-check failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

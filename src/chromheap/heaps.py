@@ -59,6 +59,43 @@ def is_descent_free(order: UnitIntervalOrder, w) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# lexicographic normal form
+
+
+def lex_normal_form(order: UnitIntervalOrder, word) -> tuple:
+    """Canonical word of the heap of a word, without building the heap.
+
+    Letters in equal or incomparable columns never pass each other, so
+    the heap is the trace of the word in the monoid where comparable
+    letters commute, and its canonical word is the trace's
+    lexicographically least word (Anisimov-Knuth normal form).
+
+    Reading the heap from the bottom, the least word takes at each step
+    the free block of least column. A new top block a leaves that order
+    of the other blocks alone: it becomes free once the last block in a
+    column touching a is taken, and is then taken before the first
+    later block of larger column. So the normal form grows one letter
+    at a time by inserting a at that place.
+    """
+    word = tuple(word)
+    if word and not (1 <= min(word) and max(word) <= order.n):
+        raise ValueError(f"word {word} leaves the alphabet [{order.n}]")
+    touch = order.touch
+    out = []
+    for a in word:
+        t = touch[a]
+        i = len(out)
+        while i and not t >> out[i - 1] & 1:
+            i -= 1
+        # blocks from i on are in columns comparable to a, never equal
+        end = len(out)
+        while i < end and out[i] < a:
+            i += 1
+        out.insert(i, a)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # heaps
 
 
@@ -81,13 +118,14 @@ class Heap:
         for a in word:
             if not 1 <= a <= order.n:
                 raise ValueError(f"letter {a} outside the alphabet")
-        cols = word
-        orient = set()
-        for j in range(len(word)):
-            for i in range(j):
-                if cols[i] == cols[j] or order.adjacent(cols[i], cols[j]):
-                    orient.add((i, j))
-        return cls(order, cols, orient)
+        touch = order.touch
+        orient = [
+            (i, j)
+            for j in range(len(word))
+            for i in range(j)
+            if touch[word[j]] >> word[i] & 1
+        ]
+        return cls(order, word, orient)
 
     @classmethod
     def from_levels(cls, order: UnitIntervalOrder, levels) -> "Heap":
@@ -206,24 +244,23 @@ class Heap:
 
     @cached_property
     def canonical_word(self) -> tuple:
-        """The unique descent-free word of the heap.
-
-        Remove, at each step, the minimal block whose column is least;
-        the columns of the minimal blocks always form a chain.
-        """
-        remaining = set(range(self.size))
-        pending = [len(self._lower[b]) for b in range(self.size)]
-        out = []
-        for _ in range(self.size):
-            b = min(
-                (x for x in remaining if pending[x] == 0),
-                key=lambda x: self.cols[x],
-            )
-            out.append(self.cols[b])
-            remaining.remove(b)
-            for v in self._upper[b]:
+        """The unique descent-free word of the heap: the normal form of
+        any of its words, here one read off by peeling minimal blocks."""
+        pending = [0] * self.size
+        upper = [[] for _ in self.cols]
+        for lo, hi in self.orient:
+            pending[hi] += 1
+            upper[lo].append(hi)
+        free = [b for b in range(self.size) if not pending[b]]
+        word = []
+        while free:
+            b = free.pop()
+            word.append(self.cols[b])
+            for v in upper[b]:
                 pending[v] -= 1
-        return tuple(out)
+                if not pending[v]:
+                    free.append(v)
+        return lex_normal_form(self.order, word)
 
     def words(self) -> list:
         """All words of the heap (column readings of linear extensions)."""
@@ -295,8 +332,14 @@ class Heap:
     def flip(self, triple) -> "Heap":
         """Reverse the orientation on the two edges of a flippable triple."""
         p, q, r = triple
-        if triple not in self.flippable_triples() and (r, q, p) not in self.flippable_triples():
+        triples = self.flippable_triples()
+        if triple not in triples and (r, q, p) not in triples:
             raise ValueError(f"{triple} is not flippable")
+        return self._flip(triple)
+
+    def _flip(self, triple) -> "Heap":
+        """flip without the check that the triple is flippable."""
+        p, q, r = triple
         orient = set(self.orient)
         for u, v in ((p, q), (q, r)):
             if (u, v) in orient:
@@ -478,7 +521,7 @@ def flip_closure(heap: Heap) -> list:
     while frontier:
         h = frontier.pop()
         for t in h.flippable_triples():
-            h2 = h.flip(t)
+            h2 = h._flip(t)
             key = h2.canonical_word
             if key not in seen:
                 seen[key] = h2

@@ -5,19 +5,32 @@ u_a u_c u_b = u_b u_a u_c for a < b < c with a, b incomparable, b, c
 incomparable and a below c. Congruence classes of words correspond to
 flip-equivalence classes of heaps, so elements are stored as integer
 combinations of class representative words: the least descent-free word
-of the class.
+of the class. A word's representative is found from the lexicographic
+normal form of the word (the canonical word of its heap, computed
+without building the heap); only a normal form not seen before costs a
+heap and a flip closure.
+
+Both relations preserve the multiset of letters, so the type of a
+product is the sum of the types of its factors. An element built with a
+type bound mu keeps only classes whose type is at most mu in every
+letter: products of such elements skip every pair of terms whose types
+add up past mu, which leaves every class of type at most mu exact.
+`chromatic.expansion` pairs f/p/s generators built with bound mu, so it
+computes only the component it pairs with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import MathematicalError
 from .heaps import (
     Heap,
     descent_positions,
     flip_closure,
     has_nontrivial_ltr_maximum,
     inversion_count,
+    lex_normal_form,
 )
 from .partitions import conjugate, word_type
 from .posets import UnitIntervalOrder
@@ -28,17 +41,24 @@ from .symfunc import m_in_basis_coords
 _rep_cache: dict = {}
 
 
+class NonIntegralWeightError(MathematicalError, ArithmeticError):
+    """The e-expansion of a monomial symmetric function had a
+    non-integer coefficient."""
+
+
 def class_representative(order: UnitIntervalOrder, word) -> tuple:
     """Least descent-free word in the congruence class of the word."""
     word = tuple(word)
     if not word:
         return ()
     cache = _rep_cache.setdefault(order.m, {})
-    heap = Heap.from_word(order, word)
-    key = heap.canonical_word
+    rep = cache.get(word)  # a word that is a key is its own normal form
+    if rep is not None:
+        return rep
+    key = lex_normal_form(order, word)
     rep = cache.get(key)
     if rep is None:
-        members = flip_closure(heap)
+        members = flip_closure(Heap.from_word(order, key))
         rep = min(h.canonical_word for h in members)
         for h in members:
             cache[h.canonical_word] = rep
@@ -46,34 +66,42 @@ def class_representative(order: UnitIntervalOrder, word) -> tuple:
 
 
 class NCElement:
-    """Integer combination of congruence classes of words."""
+    """Integer combination of congruence classes of words.
 
-    __slots__ = ("order", "terms")
+    With a type bound, the element is truncated to the classes whose
+    type is at most the bound in every letter (see the module
+    docstring); elements with different bounds do not mix.
+    """
 
-    def __init__(self, order: UnitIntervalOrder, terms=None):
+    __slots__ = ("order", "terms", "bound")
+
+    def __init__(self, order: UnitIntervalOrder, terms=None, bound=None):
         self.order = order
         self.terms = {w: c for w, c in (terms or {}).items() if c}
+        self.bound = None if bound is None else tuple(bound)
 
     @classmethod
-    def from_words(cls, order: UnitIntervalOrder, words) -> "NCElement":
+    def from_words(cls, order: UnitIntervalOrder, words, bound=None) -> "NCElement":
         """Sum of u_w over an iterable of (possibly repeated) words."""
         terms: dict = {}
         for w in words:
             rep = class_representative(order, w)
             terms[rep] = terms.get(rep, 0) + 1
-        return cls(order, terms)
+        return cls(order, terms, bound)
 
     @classmethod
-    def one(cls, order: UnitIntervalOrder) -> "NCElement":
-        return cls(order, {(): 1})
+    def one(cls, order: UnitIntervalOrder, bound=None) -> "NCElement":
+        return cls(order, {(): 1}, bound)
 
     @classmethod
-    def zero(cls, order: UnitIntervalOrder) -> "NCElement":
-        return cls(order)
+    def zero(cls, order: UnitIntervalOrder, bound=None) -> "NCElement":
+        return cls(order, None, bound)
 
     def _check(self, other):
         if self.order != other.order:
             raise ValueError("mismatched ambient orders")
+        if self.bound != other.bound:
+            raise ValueError("mismatched type bounds")
 
     def __add__(self, other):
         if not isinstance(other, NCElement):
@@ -82,23 +110,44 @@ class NCElement:
         terms = dict(self.terms)
         for w, c in other.terms.items():
             terms[w] = terms.get(w, 0) + c
-        return NCElement(self.order, terms)
+        return NCElement(self.order, terms, self.bound)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return NCElement(self.order, {w: c * other for w, c in self.terms.items()})
+            terms = {w: c * other for w, c in self.terms.items()}
+            return NCElement(self.order, terms, self.bound)
         if not isinstance(other, NCElement):
             return NotImplemented
         self._check(other)
         terms: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                rep = class_representative(self.order, w1 + w2)
-                terms[rep] = terms.get(rep, 0) + c1 * c2
-        return NCElement(self.order, terms)
+        right = other._by_type()
+        for t1, left in self._by_type().items():
+            for t2, group in right.items():
+                if not self._fits(t1, t2):
+                    continue
+                for w1, c1 in left:
+                    for w2, c2 in group:
+                        rep = class_representative(self.order, w1 + w2)
+                        terms[rep] = terms.get(rep, 0) + c1 * c2
+        return NCElement(self.order, terms, self.bound)
+
+    def _by_type(self) -> dict:
+        """Terms grouped by type, or all in one group when unbounded."""
+        if self.bound is None:
+            return {None: list(self.terms.items())}
+        groups: dict = {}
+        for w, c in self.terms.items():
+            groups.setdefault(word_type(w, self.order.n), []).append((w, c))
+        return groups
+
+    def _fits(self, t1, t2) -> bool:
+        """Whether classes of types t1 and t2 multiply within the bound."""
+        if self.bound is None:
+            return True
+        return all(x + y <= cap for x, y, cap in zip(t1, t2, self.bound))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -112,6 +161,7 @@ class NCElement:
         return (
             isinstance(other, NCElement)
             and self.order == other.order
+            and self.bound == other.bound
             and self.terms == other.terms
         )
 
@@ -132,9 +182,12 @@ class NCElement:
 
 # ---------------------------------------------------------------------------
 # word families
+#
+# With a type bound, a family keeps only the words that use each letter a
+# at most bound[a-1] times, pruning the search as soon as a letter runs out.
 
 
-def strictly_decreasing_words(order: UnitIntervalOrder, k: int):
+def strictly_decreasing_words(order: UnitIntervalOrder, k: int, bound=None):
     """Words w_1 > ... > w_k in the order (reversed chains)."""
     word = []
 
@@ -143,6 +196,8 @@ def strictly_decreasing_words(order: UnitIntervalOrder, k: int):
             yield tuple(word)
             return
         for a in range(1, order.n + 1):
+            if bound is not None and not bound[a - 1]:
+                continue
             if not word or order.less(a, word[-1]):
                 word.append(a)
                 yield from rec()
@@ -151,26 +206,29 @@ def strictly_decreasing_words(order: UnitIntervalOrder, k: int):
     yield from rec()
 
 
-def descent_free_words(order: UnitIntervalOrder, k: int):
+def descent_free_words(order: UnitIntervalOrder, k: int, bound=None):
     """Words of length k with no descents (canonical heap words)."""
     word = []
+    room = [k] * order.n if bound is None else list(bound)
 
     def rec():
         if len(word) == k:
             yield tuple(word)
             return
         for a in range(1, order.n + 1):
-            if not word or not order.less(a, word[-1]):
+            if room[a - 1] and (not word or not order.less(a, word[-1])):
+                room[a - 1] -= 1
                 word.append(a)
                 yield from rec()
                 word.pop()
+                room[a - 1] += 1
 
     yield from rec()
 
 
-def unique_sink_words(order: UnitIntervalOrder, k: int):
+def unique_sink_words(order: UnitIntervalOrder, k: int, bound=None):
     """Descent-free words with no nontrivial left-to-right maximum."""
-    for w in descent_free_words(order, k):
+    for w in descent_free_words(order, k, bound):
         if not has_nontrivial_ltr_maximum(order, w):
             yield w
 
@@ -179,43 +237,51 @@ def unique_sink_words(order: UnitIntervalOrder, k: int):
 # generating functions
 
 
-def nc_e(order: UnitIntervalOrder, k) -> NCElement:
+def nc_e(order: UnitIntervalOrder, k, *, bound=None) -> NCElement:
     """Elementary generator e_k, or the product e_lam for a tuple."""
     if not isinstance(k, int):
-        out = NCElement.one(order)
+        out = NCElement.one(order, bound)
         for part in k:
-            out = out * nc_e(order, part)
+            out = out * nc_e(order, part, bound=bound)
         return out
     if k == 0:
-        return NCElement.one(order)
-    return NCElement.from_words(order, strictly_decreasing_words(order, k))
+        return NCElement.one(order, bound)
+    words = strictly_decreasing_words(order, k, bound)
+    return NCElement.from_words(order, words, bound)
 
 
-def nc_h(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
+def nc_h(
+    order: UnitIntervalOrder, k, method: str = "words", *, bound=None
+) -> NCElement:
     """Complete homogeneous generator h_k, or the product h_lam.
 
     method='words' sums descent-free words; method='relation' unfolds
     h_k = e_1 h_{k-1} - e_2 h_{k-2} + ... recursively.
     """
     if not isinstance(k, int):
-        out = NCElement.one(order)
+        out = NCElement.one(order, bound)
         for part in k:
-            out = out * nc_h(order, part, method)
+            out = out * nc_h(order, part, method, bound=bound)
         return out
     if k == 0:
-        return NCElement.one(order)
+        return NCElement.one(order, bound)
     if method == "words":
-        return NCElement.from_words(order, descent_free_words(order, k))
+        words = descent_free_words(order, k, bound)
+        return NCElement.from_words(order, words, bound)
     if method == "relation":
-        out = NCElement.zero(order)
+        out = NCElement.zero(order, bound)
         for j in range(1, k + 1):
-            term = nc_e(order, j) * nc_h(order, k - j, "relation")
+            term = nc_e(order, j, bound=bound) * nc_h(
+                order, k - j, "relation", bound=bound
+            )
             out = out + (-1) ** (j - 1) * term
         return out
     raise ValueError(f"unknown method {method!r}")
 
 
-def nc_p(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
+def nc_p(
+    order: UnitIntervalOrder, k, method: str = "words", *, bound=None
+) -> NCElement:
     """Power sum analogue p_k, or the product p_lam.
 
     method='words' sums descent-free words without nontrivial
@@ -223,24 +289,27 @@ def nc_p(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
     evaluates e_1 h_{k-1} - 2 e_2 h_{k-2} + ... + (-1)^{k-1} k e_k.
     """
     if not isinstance(k, int):
-        out = NCElement.one(order)
+        out = NCElement.one(order, bound)
         for part in k:
-            out = out * nc_p(order, part, method)
+            out = out * nc_p(order, part, method, bound=bound)
         return out
     if k == 0:
-        return NCElement.one(order)
+        return NCElement.one(order, bound)
     if method == "words":
-        return NCElement.from_words(order, unique_sink_words(order, k))
+        words = unique_sink_words(order, k, bound)
+        return NCElement.from_words(order, words, bound)
     if method == "relation":
-        out = NCElement.zero(order)
+        out = NCElement.zero(order, bound)
         for j in range(1, k + 1):
-            term = nc_e(order, j) * nc_h(order, k - j)
+            term = nc_e(order, j, bound=bound) * nc_h(order, k - j, bound=bound)
             out = out + ((-1) ** (j - 1) * j) * term
         return out
     raise ValueError(f"unknown method {method!r}")
 
 
-def nc_s(order: UnitIntervalOrder, lam, method: str = "tableaux") -> NCElement:
+def nc_s(
+    order: UnitIntervalOrder, lam, method: str = "tableaux", *, bound=None
+) -> NCElement:
     """Schur analogue of a partition shape.
 
     method='tableaux' sums reading words of order-compatible fillings;
@@ -253,17 +322,16 @@ def nc_s(order: UnitIntervalOrder, lam, method: str = "tableaux") -> NCElement:
     ):
         raise ValueError(f"{lam} is not a partition")
     if method == "tableaux":
-        return NCElement.from_words(
-            order, (reading_word(t) for t in enumerate_tableaux(order, lam))
-        )
+        words = (reading_word(t) for t in enumerate_tableaux(order, lam, bound))
+        return NCElement.from_words(order, words, bound)
     if method == "jacobi_trudi":
         from .symfunc import _signed_perms
 
         if not lam:
-            return NCElement.one(order)
+            return NCElement.one(order, bound)
         m = lam[0]
         colsums = conjugate(lam)
-        out = NCElement.zero(order)
+        out = NCElement.zero(order, bound)
         for sigma, sign in _signed_perms(m):
             ks = []
             ok = True
@@ -276,7 +344,7 @@ def nc_s(order: UnitIntervalOrder, lam, method: str = "tableaux") -> NCElement:
                     ks.append(k)
             if not ok:
                 continue
-            out = out + sign * nc_e(order, tuple(ks))
+            out = out + sign * nc_e(order, tuple(ks), bound=bound)
         return out
     raise ValueError(f"unknown method {method!r}")
 
@@ -291,7 +359,9 @@ def nc_m(order: UnitIntervalOrder, lam) -> NCElement:
     for mu, c in coords.items():
         c = Fraction(c)
         if c.denominator != 1:
-            raise ArithmeticError(f"non-integer weight {c} in e-expansion of m_{lam}")
+            raise NonIntegralWeightError(
+                f"non-integer weight {c} in e-expansion of m_{lam}"
+            )
         out = out + int(c) * nc_e(order, mu)
     return out
 
@@ -304,8 +374,9 @@ def enumerate_tableaux(order: UnitIntervalOrder, shape, type_vector=None) -> lis
     """Fillings of the shape with entries in [n] whose rows never step
     down in the order and whose columns strictly increase in the order.
 
-    With a type vector, only fillings using letter a exactly
-    type_vector[a-1] times are produced.
+    With a type vector, only fillings using letter a at most
+    type_vector[a-1] times are produced: exactly that often when the
+    type vector sums to the size of the shape.
     """
     shape = tuple(shape)
     rows = [[0] * r for r in shape]
@@ -394,6 +465,7 @@ def hp_recurrence_check(order: UnitIntervalOrder, lam) -> bool:
 __all__ = [
     "NCElement",
     "class_representative",
+    "NonIntegralWeightError",
     "nc_e",
     "nc_h",
     "nc_p",

@@ -89,6 +89,20 @@ class UnitIntervalOrder:
         return i != j and not self.comparable(i, j)
 
     @cached_property
+    def touch(self) -> tuple:
+        """Bit b of touch[a] is set when a == b or a, b are incomparable,
+        i.e. when blocks in columns a and b stack on each other. Index 0
+        is unused, so letters index the table directly."""
+        out = [0]
+        for a in range(1, self.n + 1):
+            mask = 0
+            for b in range(1, self.n + 1):
+                if not self.comparable(a, b):
+                    mask |= 1 << b
+            out.append(mask)
+        return tuple(out)
+
+    @cached_property
     def edges(self) -> frozenset:
         return frozenset(
             (i, j)

@@ -25,10 +25,11 @@ from .partitions import (
     revlex_sorted,
     subset_to_composition,
 )
+from .errors import MathematicalError
 from .qpoly import QPoly
 
 
-class NotSymmetricError(ValueError):
+class NotSymmetricError(MathematicalError, ValueError):
     """Raised when a quasisymmetric function fails to be symmetric.
 
     The witness records two compositions with the same part multiset

@@ -4,10 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import chromheap.chromatic as chromatic
+import chromheap.cli as cli
+import chromheap.ncsf as ncsf
+from chromheap.chromatic import CrossCheckError
 from chromheap.cli import main
+from chromheap.ncsf import NonIntegralWeightError
+from chromheap.partitions import partitions
 from chromheap.symfunc import QSymFunc
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -58,6 +66,32 @@ def test_verify_reports_not_symmetric_as_fail(capsys, monkeypatch):
     # the sweep runs on past the first failure: 1 + 2 orders
     assert len({line.split()[1] for line in lines}) == 3
     assert all(line.startswith("FAIL") for line in lines)
+
+
+@pytest.mark.parametrize("error", [CrossCheckError, NonIntegralWeightError])
+def test_math_errors_exit_2(capsys, monkeypatch, error):
+    def broken(order, mu, basis):
+        raise error("routes disagree")
+
+    monkeypatch.setattr(cli, "expansion", broken)
+    code, out, err = run(capsys, "expand", "--poset", "2,3,3")
+    assert code == 2 and out == ""
+    assert err == "cross-check failure: routes disagree\n"
+
+
+def _half_weights(d, basis):
+    return {lam: {(1,) * d: Fraction(1, 2)} for lam in partitions(d)}
+
+
+def test_verify_reports_non_integer_weight_as_fail(capsys, monkeypatch):
+    monkeypatch.setattr(ncsf, "m_in_basis_coords", _half_weights)
+    code, out, err = run(
+        capsys, "verify", "--poset", "2,3,3", "--suite", "hp-recurrence"
+    )
+    assert code == 2 and "Traceback" not in err
+    lines = out.strip().splitlines()
+    assert lines and all(line.startswith("FAIL") for line in lines)
+    assert "hp-recurrence:hp-[1, 1]" in lines[0]
 
 
 def test_guardrail(capsys):
@@ -206,24 +240,33 @@ def test_verify_all_suites_running_example(capsys):
     assert "FAIL" not in out
 
 
-def test_expand_json_is_byte_deterministic():
+def _stdouts_under_hash_seeds(argv):
+    """Distinct stdouts of one CLI call run under PYTHONHASHSEED 0, 1, 2."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     env.pop("CHROMHEAP_OUT", None)
+    outs = set()
+    for seed in ("0", "1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        cmd = [sys.executable, "-m", "chromheap.cli", *argv]
+        done = subprocess.run(cmd, env=env, capture_output=True, check=True)
+        outs.add(done.stdout)
+    return outs
+
+
+def test_expand_json_is_byte_deterministic():
     for args in (["2,3,4,5,6,6"], ["2,3,3", "--mu", "3,2,2"]):
-        outs = set()
-        for seed in ("0", "1", "2"):
-            env["PYTHONHASHSEED"] = seed
-            cmd = [sys.executable, "-m", "chromheap.cli", "expand", "--poset"]
-            cmd += args + ["--basis", "e", "--format", "json"]
-            done = subprocess.run(
-                cmd,
-                env=env,
-                capture_output=True,
-                check=True,
-            )
-            outs.add(done.stdout)
+        argv = ["expand", "--poset", *args, "--basis", "e", "--format", "json"]
+        outs = _stdouts_under_hash_seeds(argv)
         assert len(outs) == 1, args
         assert json.loads(outs.pop())["basis"] == "e"
+
+
+def test_classes_json_is_byte_deterministic():
+    for args in (["2,3,4,5,6,6"], ["2,3,3", "--mu", "3,2,2"]):
+        argv = ["classes", "--poset", *args, "--format", "json"]
+        outs = _stdouts_under_hash_seeds(argv)
+        assert len(outs) == 1, args
+        assert json.loads(outs.pop())["classes"]

@@ -1,6 +1,7 @@
 """Heaps, canonical words, flips and the word graph."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromheap.heaps import (
     Heap,
@@ -13,6 +14,7 @@ from chromheap.heaps import (
     has_nontrivial_ltr_maximum,
     inversion_count,
     is_descent_free,
+    lex_normal_form,
     ltr_maxima_positions,
 )
 from chromheap.partitions import multiset_permutations, word_type
@@ -69,6 +71,45 @@ def test_canonical_word_is_unique_descent_free_word():
         for h in enumerate_heaps(order, (1, 1, 2)):
             dfree = [w for w in h.words() if is_descent_free(order, w)]
             assert dfree == [h.canonical_word]
+
+
+@st.composite
+def orders_and_words(draw, max_n=6, max_len=8):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    bounds = []
+    for i in range(1, n + 1):
+        lowest = max([i] + bounds[-1:])  # i <= m_i, weakly increasing
+        bounds.append(draw(st.integers(min_value=lowest, max_value=n)))
+    word = draw(st.lists(st.integers(1, n), min_size=1, max_size=max_len))
+    return UnitIntervalOrder(bounds), tuple(word)
+
+
+def _projection(w, a, b):
+    return tuple(x for x in w if x in (a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders_and_words())
+def test_lex_normal_form_is_the_canonical_word(case):
+    order, w = case
+    nf = lex_normal_form(order, w)
+    assert nf == Heap.from_word(order, w).canonical_word
+    assert is_descent_free(order, nf)
+    # same trace: every pair of letters that may not commute keeps its
+    # relative order (the projection criterion for trace equivalence)
+    for a in range(1, order.n + 1):
+        for b in range(a, order.n + 1):
+            if not order.comparable(a, b):
+                assert _projection(nf, a, b) == _projection(w, a, b)
+
+
+def test_lex_normal_form_edge_cases():
+    assert lex_normal_form(P233, ()) == ()
+    assert lex_normal_form(P233, (3, 1, 2)) == (1, 3, 2)
+    with pytest.raises(ValueError):
+        lex_normal_form(P233, (1, 4))
+    with pytest.raises(ValueError):
+        lex_normal_form(P233, (0, 1))
 
 
 def test_words_partition_all_words():

@@ -1,10 +1,15 @@
 """Noncommutative generating functions and the pairing."""
 
+from fractions import Fraction
+
 import pytest
 
+import chromheap.ncsf as ncsf
+from chromheap.errors import MathematicalError
 from chromheap.heaps import is_descent_free
 from chromheap.ncsf import (
     NCElement,
+    NonIntegralWeightError,
     class_representative,
     enumerate_tableaux,
     hp_recurrence_check,
@@ -20,6 +25,7 @@ from chromheap.ncsf import (
     unique_sink_words,
 )
 from chromheap.heaps import enumerate_classes
+from chromheap.partitions import partitions, word_type
 from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly
 
@@ -42,6 +48,23 @@ def test_class_representative():
     words = [(1, 1, 3, 2, 1, 3), (1, 3, 1, 2, 1, 3), (3, 1, 1, 2, 1, 3)]
     reps = {class_representative(P233, w) for w in words}
     assert len(reps) == 1
+
+
+@pytest.mark.parametrize(
+    "order, mu",
+    [
+        (P233, (1, 1, 2)),
+        (P233, (2, 1, 2)),
+        (P24555, (1, 1, 1, 1, 1)),
+        (UnitIntervalOrder((2, 3, 4, 4)), (1, 1, 1, 1)),
+    ],
+)
+def test_every_word_of_a_class_maps_to_its_representative(order, mu, monkeypatch):
+    monkeypatch.setattr(ncsf, "_rep_cache", {})  # start every class cold
+    for cls in enumerate_classes(order, mu):
+        for h in cls.heaps:
+            for w in h.words():
+                assert class_representative(order, w) == cls.representative, w
 
 
 def test_ncelement_algebra():
@@ -109,12 +132,45 @@ def test_p_words_vs_relation():
 
 
 def test_s_tableaux_vs_jacobi_trudi():
-    from chromheap.partitions import partitions
-
     for order in (P233, UnitIntervalOrder((2, 2, 3))):
         for d in range(1, 5):
             for lam in partitions(d):
                 assert nc_s(order, lam) == nc_s(order, lam, "jacobi_trudi"), lam
+
+
+def _bounded_cases():
+    for n in range(1, 6):
+        for order in UnitIntervalOrder.all_orders(n):
+            yield order, (1,) * n
+    for mu in ((1, 1, 2), (3, 2, 2), (2, 0, 2)):
+        yield P233, mu
+
+
+@pytest.mark.parametrize("gen", [nc_h, nc_p, nc_s])
+def test_bounded_generators_pair_like_full_ones(gen):
+    for order, mu in _bounded_cases():
+        for lam in partitions(sum(mu)):
+            want = pair_gamma(gen(order, lam), mu)
+            assert pair_gamma(gen(order, lam, bound=mu), mu) == want, (order, mu, lam)
+
+
+def test_bounded_elements_keep_only_types_within_the_bound():
+    mu = (1, 1, 2)
+    for lam in partitions(4):
+        elem = nc_h(P233, lam, bound=mu)
+        full = nc_h(P233, lam)
+        assert elem.terms == {
+            w: c
+            for w, c in full.terms.items()
+            if all(x <= cap for x, cap in zip(word_type(w, 3), mu))
+        }
+    # both methods truncate to the same element
+    assert nc_h(P233, 3, bound=mu) == nc_h(P233, 3, "relation", bound=mu)
+    assert nc_p(P233, 3, bound=mu) == nc_p(P233, 3, "relation", bound=mu)
+    for lam in partitions(3):
+        assert nc_s(P233, lam, bound=mu) == nc_s(P233, lam, "jacobi_trudi", bound=mu)
+    with pytest.raises(ValueError):
+        nc_e(P233, 1, bound=mu) * nc_e(P233, 1)
 
 
 def test_s_rejects_non_partition():
@@ -128,6 +184,17 @@ def test_nc_m_expansion():
     rhs = nc_e(P233, (1, 1)) - 2 * nc_e(P233, 2)
     assert lhs == rhs
     assert nc_m(P233, ()) == NCElement.one(P233)
+
+
+def test_nc_m_non_integer_weight_is_a_math_error(monkeypatch):
+    def halves(d, basis):
+        return {lam: {(1,) * d: Fraction(1, 2)} for lam in partitions(d)}
+
+    monkeypatch.setattr(ncsf, "m_in_basis_coords", halves)
+    with pytest.raises(NonIntegralWeightError) as exc:
+        nc_m(P233, (2,))
+    assert isinstance(exc.value, MathematicalError)
+    assert isinstance(exc.value, ArithmeticError)
 
 
 def test_unknown_methods_rejected():
