@@ -1,14 +1,15 @@
 """Chromatic quasisymmetric functions of unit interval orders.
 
 Two independent routes are provided. The oracle enumerates proper
-multi-colorings with a finite color supply and accumulates monomials
-weighted by the ascent statistic. The word route assembles the omega
-image of the function as the sum over words w of q^inv(w) F_Des(w): a
-dynamic program over word prefixes, keyed by (used multiset, last
-letter), sums the q-weights per descent set, and a subset-sum transform
-turns the fundamental expansion into the monomial one; the symmetry
-check then guards the result. The loop over all words of the type,
-omega_chromatic_qsym_by_words, is kept as the reference the tests
+multi-colorings with a finite color supply, only the gapless ones that
+reach a monomial coefficient, and counts them per monomial and ascent
+statistic. The word route assembles the omega image of the function as
+the sum over words w of q^inv(w) F_Des(w): a dynamic program over word
+prefixes, keyed by (used multiset, last letter), sums the q-weights per
+descent set, and a subset-sum transform (shared with the heap and class
+functions) turns the fundamental expansion into the monomial one; the
+symmetry check then guards the result. The loop over all words of the
+type, omega_chromatic_qsym_by_words, is kept as the reference the tests
 compare against. Theorem-driven coefficient formulas (pairings, rank
 profiles of heaps, sink counts) are always cross-checked against the
 linear-algebra route; a disagreement raises CrossCheckError.
@@ -52,17 +53,30 @@ class CrossCheckError(MathematicalError, AssertionError):
 # coloring oracle
 
 
-def proper_colorings(order: UnitIntervalOrder, mu, colors: int):
+def proper_colorings(order: UnitIntervalOrder, mu, colors: int, *, gapless=False):
     """All proper multi-colorings: vertex a gets mu[a-1] colors from
-    [colors], disjoint across incomparability edges."""
+    [colors], disjoint across incomparability edges.
+
+    With gapless=True only the colorings whose colors are exactly
+    {1..k} for some k are yielded. A partial coloring is dropped as soon
+    as its gaps (largest color used minus the number of distinct colors
+    used) outnumber the color slots still to fill. Each slot fills at
+    most one gap, so no dropped branch could end gapless, and a leaf has
+    no slot left, so every coloring yielded is gapless.
+    """
     mu = tuple(mu)
     if len(mu) != order.n:
         raise ValueError("type vector length must equal n")
     verts = [a for a in range(1, order.n + 1) if mu[a - 1] > 0]
+    # slots[i]: colors still to hand out once the first i vertices have theirs
+    slots = [0] * (len(verts) + 1)
+    for i in range(len(verts) - 1, -1, -1):
+        slots[i] = slots[i + 1] + mu[verts[i] - 1]
     palette = range(1, colors + 1)
     chosen: dict = {}
+    uses = [0] * (colors + 1)  # vertices holding each color
 
-    def rec(idx):
+    def rec(idx, top, distinct):
         if idx == len(verts):
             yield dict(chosen)
             return
@@ -71,12 +85,21 @@ def proper_colorings(order: UnitIntervalOrder, mu, colors: int):
         for b in order.neighbors(a):
             blocked.update(chosen.get(b, ()))
         for combo in combinations(palette, mu[a - 1]):
-            if blocked.isdisjoint(combo):
-                chosen[a] = combo
-                yield from rec(idx + 1)
+            if not blocked.isdisjoint(combo):
+                continue
+            high = max(top, combo[-1])
+            seen = distinct + sum(1 for c in combo if not uses[c])
+            if gapless and high - seen > slots[idx + 1]:
+                continue
+            for c in combo:
+                uses[c] += 1
+            chosen[a] = combo
+            yield from rec(idx + 1, high, seen)
+            for c in combo:
+                uses[c] -= 1
         chosen.pop(a, None)
 
-    yield from rec(0)
+    yield from rec(0, 0, 0)
 
 
 def coloring_ascents(order: UnitIntervalOrder, coloring) -> int:
@@ -115,7 +138,13 @@ def coloring_qsym(
     order: UnitIntervalOrder, mu, colors: int | None = None, stat: str = "asc"
 ) -> QSymFunc:
     """The coloring generating function in the quasisymmetric monomial
-    basis, from brute-force enumeration with a finite color supply."""
+    basis, from brute-force enumeration with a finite color supply.
+
+    The coefficient of M_alpha counts the colorings that use color i
+    exactly alpha_i times for i = 1..k, so only the gapless colorings
+    (color set {1..k}) reach a coefficient, and only those are
+    enumerated; proper_colorings prunes the others exactly.
+    """
     mu = tuple(mu)
     d = sum(mu)
     if colors is None:
@@ -128,23 +157,20 @@ def coloring_qsym(
         statistic = coloring_descents
     else:
         raise ValueError(f"unknown statistic {stat!r}")
-    monos: dict = {}
-    for kappa in proper_colorings(order, mu, colors):
+    counts: dict = {}  # composition -> statistic value -> colorings
+    for kappa in proper_colorings(order, mu, colors, gapless=True):
         exp = [0] * colors
         for cs in kappa.values():
             for c in cs:
                 exp[c - 1] += 1
-        key = tuple(exp)
+        # gapless: the used colors are 1..k, so the nonzero entries lead
+        by_stat = counts.setdefault(tuple(x for x in exp if x), {})
         w = statistic(order, kappa)
-        monos[key] = monos.get(key, QPoly()) + QPoly.monomial(w)
-    terms = {}
-    for exp, poly in monos.items():
-        ell = colors
-        while ell and exp[ell - 1] == 0:
-            ell -= 1
-        alpha = exp[:ell]
-        if all(x > 0 for x in alpha):
-            terms[tuple(alpha)] = poly
+        by_stat[w] = by_stat.get(w, 0) + 1
+    terms = {
+        alpha: QPoly([by_stat.get(k, 0) for k in range(max(by_stat) + 1)])
+        for alpha, by_stat in counts.items()
+    }
     return QSymFunc(d, terms)
 
 
@@ -170,12 +196,22 @@ def omega_chromatic_qsym(order: UnitIntervalOrder, mu) -> QSymFunc:
 
 @lru_cache(maxsize=256)
 def _omega_chromatic_qsym(order, mu):
-    d = sum(mu)
-    # every coefficient below, before and after the subset-sum transform,
-    # is at most the word count, so slots of this width never carry
+    # every coefficient, before and after the F -> M transform, is at
+    # most the word count, so slots of this width never carry
     width = multinomial(mu).bit_length()
+    return _fundamental_to_monomial(sum(mu), _descent_polys(order, mu, width), width)
+
+
+def _fundamental_to_monomial(d, by_mask, width) -> QSymFunc:
+    """The function sum over masks S of c_S F_S in the monomial basis.
+
+    by_mask maps a descent mask (bit i-1 for position i) to c_S, a
+    q-polynomial packed into one int with `width` bits per power of q; a
+    plain count is a constant polynomial. Every coefficient after the
+    transform is at most the sum of all c_S, which must fit the width.
+    """
     f = [0] * (1 << max(d - 1, 0))
-    for mask, packed in _descent_polys(order, mu, width).items():
+    for mask, packed in by_mask.items():
         f[mask] = packed
     # F_S is the sum of M_T over supersets T of S, so the coefficient of
     # M_T is the sum of the F-coefficients over subsets S of T
@@ -277,19 +313,26 @@ def chromatic_sym(order: UnitIntervalOrder, mu) -> SymFunc:
 
 def heap_qsym(heap: Heap) -> QSymFunc:
     """Fundamental-basis sum over the words of one heap."""
-    d = heap.size
-    out = QSymFunc(d)
-    for w in heap.words():
-        out = out + QSymFunc.fundamental(d, descent_positions(heap.order, w))
-    return out
+    return _words_qsym(heap.order, heap.size, heap.words())
 
 
 def class_qsym(cls: HeapClass) -> QSymFunc:
-    out = None
-    for h in cls.heaps:
-        k = heap_qsym(h)
-        out = k if out is None else out + k
-    return out
+    """Fundamental-basis sum over the words of every heap in the class."""
+    first = cls.heaps[0]
+    words = [w for h in cls.heaps for w in h.words()]
+    return _words_qsym(first.order, first.size, words)
+
+
+def _words_qsym(order, d, words) -> QSymFunc:
+    """Sum of F_Des(w) over the words: count the words per descent set,
+    then change to the monomial basis once."""
+    counts: dict = {}
+    for w in words:
+        mask = 0
+        for i in descent_positions(order, w):
+            mask |= 1 << (i - 1)
+        counts[mask] = counts.get(mask, 0) + 1
+    return _fundamental_to_monomial(d, counts, max(len(words).bit_length(), 1))
 
 
 def class_sym(cls: HeapClass) -> SymFunc:

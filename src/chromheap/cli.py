@@ -14,7 +14,6 @@ import os
 import sys
 
 from .chromatic import (
-    asc_des_symmetry_check,
     chromatic_sym,
     closed_form_two_column,
     coeff_e_hook,
@@ -215,9 +214,9 @@ def cmd_classes(args) -> int:
 
 def _suite_oracle(order, mu, colors=None):
     x_words = chromatic_sym(order, mu)
-    x_oracle = coloring_qsym(order, mu, colors).to_symmetric()
-    yield "oracle-vs-words", x_words == x_oracle
-    yield "asc-vs-des", asc_des_symmetry_check(order, mu, colors)
+    asc = coloring_qsym(order, mu, colors)
+    yield "oracle-vs-words", x_words == asc.to_symmetric()
+    yield "asc-vs-des", asc == coloring_qsym(order, mu, colors, "des")
 
 
 def _suite_commutation(order, mu, colors=None):
@@ -326,6 +325,8 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.max_n is not None and args.max_n < 1:
+        raise UsageError("--max-n must be at least 1")
     if args.poset is not None:
         order, mu = _parse_instance(args)
         instances = [(order, mu)]
@@ -336,6 +337,12 @@ def cmd_verify(args) -> int:
             for n in range(1, max_n + 1)
             for order in UnitIntervalOrder.all_orders(n)
         ]
+    need = max(sum(mu) for _, mu in instances)
+    if args.colors is not None and args.colors < need:
+        raise UsageError(
+            f"--colors {args.colors} is too few: the largest total size "
+            f"in this run is {need}, so pass at least --colors {need}"
+        )
     lines = []
     failed = False
     for order, mu in instances:

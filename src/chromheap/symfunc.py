@@ -317,13 +317,25 @@ class SymFunc:
         if basis == "m":
             return dict(self.terms)
         parts, inv = _inverse_transition(basis, self.degree)
-        vec = [self.terms.get(lam, QPoly()) for lam in parts]
+        vec = [
+            (i, self.terms[lam].coeffs)
+            for i, lam in enumerate(parts)
+            if lam in self.terms
+        ]
         out = {}
         for j, lam in enumerate(parts):
-            c = QPoly()
-            for i, v in enumerate(vec):
-                if v and inv[j][i] != 0:
-                    c = c + v * inv[j][i]
+            # the q-coefficients of target j, summed as exact scalars
+            acc = []
+            for i, coeffs in vec:
+                x = inv[j][i]
+                if x:
+                    if x.denominator == 1:
+                        x = x.numerator  # int arithmetic where it is exact
+                    if len(acc) < len(coeffs):
+                        acc.extend([0] * (len(coeffs) - len(acc)))
+                    for k, c in enumerate(coeffs):
+                        acc[k] += x * c
+            c = QPoly(acc)
             if c:
                 out[lam] = c
         return out

@@ -29,10 +29,10 @@ from chromheap.chromatic import (
     scaling_check,
     sink_sum,
 )
-from chromheap.heaps import enumerate_classes, enumerate_heaps
+from chromheap.heaps import descent_positions, enumerate_classes, enumerate_heaps
 from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly, q_factorial
-from chromheap.symfunc import NotSymmetricError
+from chromheap.symfunc import NotSymmetricError, QSymFunc
 
 P233 = UnitIntervalOrder((2, 3, 3))
 P23455 = UnitIntervalOrder((2, 3, 4, 5, 5))
@@ -160,6 +160,59 @@ def test_word_dp_matches_word_loop_and_oracle(case):
     assert dp.to_symmetric().omega() == coloring_qsym(order, mu).to_symmetric()
 
 
+def _is_gapless(kappa):
+    used = {c for cs in kappa.values() for c in cs}
+    return used == set(range(1, len(used) + 1))
+
+
+def _coloring_qsym_by_monomials(order, mu, colors, stat):
+    """Reference for coloring_qsym: every proper coloring, one monomial
+    each, keeping the exponent vectors without a gap."""
+    statistic = coloring_ascents if stat == "asc" else coloring_descents
+    monos = {}
+    for kappa in proper_colorings(order, mu, colors):
+        exp = [0] * colors
+        for cs in kappa.values():
+            for c in cs:
+                exp[c - 1] += 1
+        key = tuple(exp)
+        w = statistic(order, kappa)
+        monos[key] = monos.get(key, QPoly()) + QPoly.monomial(w)
+    terms = {}
+    for exp, poly in monos.items():
+        ell = colors
+        while ell and exp[ell - 1] == 0:
+            ell -= 1
+        alpha = exp[:ell]
+        if all(x > 0 for x in alpha):
+            terms[tuple(alpha)] = poly
+    return QSymFunc(sum(mu), terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(orders_and_types(max_size=6), st.integers(0, 1))
+def test_gapless_colorings_match_the_filtered_stream(case, extra):
+    order, mu = case
+    colors = sum(mu) + extra
+    full = list(proper_colorings(order, mu, colors))
+    pruned = list(proper_colorings(order, mu, colors, gapless=True))
+    assert pruned == [k for k in full if _is_gapless(k)]
+    for stat in ("asc", "des"):
+        want = _coloring_qsym_by_monomials(order, mu, colors, stat)
+        assert coloring_qsym(order, mu, colors, stat) == want
+
+
+def test_gapless_colorings_edge_cases():
+    # a vertex of type 0 gets no color; a lone vertex of type 2 is gapless
+    # only as {1, 2}
+    assert list(proper_colorings(P233, (0, 0, 2), 3, gapless=True)) == [{3: (1, 2)}]
+    chain = UnitIntervalOrder((1, 2))
+    # no edges: {1}{1}, {1}{2}, {2}{1} of the nine colorings
+    got = list(proper_colorings(chain, (1, 1), 3, gapless=True))
+    assert got == [{1: (1,), 2: (1,)}, {1: (1,), 2: (2,)}, {1: (2,), 2: (1,)}]
+    assert proper_coloring_count(chain, (1, 1), 3) == 9
+
+
 # ---------------------------------------------------------------------------
 # heap and class generating functions
 
@@ -186,6 +239,32 @@ def test_single_heap_function_need_not_be_symmetric():
             assert ca != cb
             raised = True
     assert raised
+
+
+def _qsym_by_fundamentals(order, d, words):
+    out = QSymFunc(d)
+    for w in words:
+        out = out + QSymFunc.fundamental(d, descent_positions(order, w))
+    return out
+
+
+def _small_instances():
+    for n in range(1, 6):
+        for order in UnitIntervalOrder.all_orders(n):
+            yield order, (1,) * n
+    yield P233, (3, 2, 2)
+
+
+def test_heap_and_class_functions_match_fundamental_sums():
+    for order, mu in _small_instances():
+        d = sum(mu)
+        for cls in enumerate_classes(order, mu):
+            for h in cls.heaps:
+                want = _qsym_by_fundamentals(order, d, h.words())
+                assert heap_qsym(h) == want, (order.m, h.canonical_word)
+            words = [w for h in cls.heaps for w in h.words()]
+            want = _qsym_by_fundamentals(order, d, words)
+            assert class_qsym(cls) == want, (order.m, cls.representative)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface behavior and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -232,6 +233,53 @@ def test_verify_sweep(capsys):
     # 1 + 2 + 5 posets in the sweep
     tags = {line.split()[1] for line in lines}
     assert len(tags) == 8
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_verify_max_n_must_be_positive(capsys, value):
+    code, out, err = run(capsys, "verify", "--suite", "sinks", "--max-n", value)
+    assert code == 1 and out == ""
+    assert err == "error: --max-n must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, need",
+    [
+        (["--max-n", "4", "--colors", "3"], 4),
+        (["--poset", "2,3,3", "--mu", "3,2,2", "--colors", "6"], 7),
+    ],
+)
+def test_verify_checks_colors_before_any_suite(capsys, argv, need):
+    code, out, err = run(capsys, "verify", "--suite", "oracle", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"--colors {need}" in err
+
+
+def test_verify_accepts_enough_colors(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "oracle", "--max-n", "3", "--colors", "3"
+    )
+    assert code == 0
+    assert out.count("PASS") == 16 and "FAIL" not in out
+
+
+# SHA-256 of stdout, taken before the oracle enumerated only gapless
+# colorings and the class functions counted descent sets as ints
+FROZEN_VERIFY = {
+    ("verify", "--suite", "oracle", "--max-n", "4"):
+        "32673fb9bb9f31a805c1b87361f5ebc955a5cdaebd80086f19f05bb47d949722",
+    ("verify", "--suite", "positivity", "--max-n", "4"):
+        "3c50f6b80d6306a71691cbf9facd7704ef2182c82311ae1c2f0e574fad9c46e5",
+    ("verify", "--suite", "oracle", "--poset", "2,3,3", "--mu", "3,2,2"):
+        "f6b009a72093fc98be7de88a7b160c6adbff6339d22ca89b43d199a2e675ecbf",
+}
+
+
+@pytest.mark.parametrize("argv", list(FROZEN_VERIFY), ids=" ".join)
+def test_verify_output_is_frozen(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_VERIFY[argv]
 
 
 def test_verify_all_suites_running_example(capsys):

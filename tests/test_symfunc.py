@@ -1,5 +1,6 @@
 """Commutative symmetric and quasisymmetric substrate."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from chromheap.symfunc import (
     NotSymmetricError,
     QSymFunc,
     SymFunc,
+    _inverse_transition,
     _rows_to_m,
     basis_to_m,
     m_in_basis_coords,
@@ -240,6 +242,47 @@ def test_rational_coordinates():
         (1, 1): QPoly((Fraction(1, 2),)),
         (2,): QPoly((Fraction(-1, 2),)),
     }
+
+
+def _in_basis_by_products(f, basis):
+    """Reference for SymFunc.in_basis: one QPoly per product and per sum."""
+    if basis == "m":
+        return dict(f.terms)
+    parts, inv = _inverse_transition(basis, f.degree)
+    vec = [f.terms.get(lam, QPoly()) for lam in parts]
+    out = {}
+    for j, lam in enumerate(parts):
+        c = QPoly()
+        for i, v in enumerate(vec):
+            if v and inv[j][i] != 0:
+                c = c + v * inv[j][i]
+        if c:
+            out[lam] = c
+    return out
+
+
+def test_in_basis_matches_per_product_sums():
+    rng = random.Random(4)
+    for d in range(1, 7):
+        for _ in range(4):
+            terms = {}
+            for lam in partitions(d):
+                if rng.random() < 0.3:
+                    continue
+                # terms of different q-degrees, some coefficients zero
+                terms[lam] = QPoly(
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 5))
+                )
+            f = SymFunc(d, terms)
+            for basis in "fpsemh":
+                got = f.in_basis(basis)
+                want = _in_basis_by_products(f, basis)
+                assert got == want, (d, basis)
+                # same coefficient types too: an integral value is an int
+                assert {k: v.to_json() for k, v in got.items()} == {
+                    k: v.to_json() for k, v in want.items()
+                }
 
 
 def test_eval_ones():
