@@ -393,42 +393,20 @@ def expansion(order: UnitIntervalOrder, mu, basis: str) -> ExpansionReport:
     omega_x = omega_chromatic_sym(order, mu)
     coeffs: dict = {}
     prov: dict = {}
-    if basis == "f":
-        # X = sum a_lam f_lam, i.e. omega X = sum a_lam m_lam
-        change = omega_x.terms
+    if basis in ("f", "p", "s"):
+        # <nc_h_lam, Gamma_mu> is the m-coefficient of omega X, which is
+        # the f-coefficient of X; <nc_p_lam, Gamma_mu> is z_lam times the
+        # p-coefficient of omega X, and <nc_s_lam, Gamma_mu> its s-coefficient
+        generator = {"f": nc_h, "p": nc_p, "s": nc_s}[basis]
+        change = omega_x.in_basis("m" if basis == "f" else basis)
         for lam in partitions(d):
-            theorem = pair_gamma(nc_h(order, lam, bound=mu), mu)
+            theorem = pair_gamma(generator(order, lam, bound=mu), mu)
             other = change.get(lam, QPoly())
+            if basis == "p":
+                other = other * z_factor(lam)
             if theorem != other:
                 raise CrossCheckError(
-                    f"f-coefficient of {lam}: pairing {theorem.pretty()} vs "
-                    f"basis change {other.pretty()}"
-                )
-            if theorem:
-                coeffs[lam] = theorem
-                prov[lam] = "theorem+basis-change"
-    elif basis == "p":
-        # omega X = sum (1/z_lam) b_lam p_lam; report b_lam
-        change = omega_x.in_basis("p")
-        for lam in partitions(d):
-            theorem = pair_gamma(nc_p(order, lam, bound=mu), mu)
-            other = change.get(lam, QPoly()) * z_factor(lam)
-            if theorem != other:
-                raise CrossCheckError(
-                    f"p-coefficient of {lam}: pairing {theorem.pretty()} vs "
-                    f"basis change {other.pretty()}"
-                )
-            if theorem:
-                coeffs[lam] = theorem
-                prov[lam] = "theorem+basis-change"
-    elif basis == "s":
-        change = omega_x.in_basis("s")
-        for lam in partitions(d):
-            theorem = pair_gamma(nc_s(order, lam, bound=mu), mu)
-            other = change.get(lam, QPoly())
-            if theorem != other:
-                raise CrossCheckError(
-                    f"s-coefficient of {lam}: pairing {theorem.pretty()} vs "
+                    f"{basis}-coefficient of {lam}: pairing {theorem.pretty()} vs "
                     f"basis change {other.pretty()}"
                 )
             if theorem:

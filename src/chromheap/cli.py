@@ -48,10 +48,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="chromheap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_mu=True):
+    def common(p):
         p.add_argument("--poset", help="bound sequence, e.g. 2,4,5,5,5")
-        if need_mu:
-            p.add_argument("--mu", help="type vector, e.g. 1,1,2")
+        p.add_argument("--mu", help="type vector, e.g. 1,1,2")
         p.add_argument(
             "--format", choices=["json", "csv", "pretty"], default="pretty"
         )
@@ -94,15 +93,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_instance(args, require_poset=True):
+def _parse_instance(args):
     if args.poset is None:
-        if require_poset:
-            raise UsageError("--poset is required")
-        return None, None
+        raise UsageError("--poset is required")
     order = UnitIntervalOrder.from_text(args.poset)
-    mu_text = getattr(args, "mu", None)
-    if mu_text:
-        mu = tuple(int(x) for x in mu_text.split(","))
+    if args.mu:
+        try:
+            mu = tuple(int(x) for x in args.mu.split(","))
+        except ValueError as exc:
+            raise UsageError(f"cannot parse type vector {args.mu!r}") from exc
         if len(mu) != order.n:
             raise UsageError("--mu length must match the poset size")
         if any(x < 0 for x in mu) or sum(mu) == 0:

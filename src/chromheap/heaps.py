@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .partitions import multiset_permutations, word_type
+from .partitions import multiset_permutations, word_type, words
 from .posets import UnitIntervalOrder
 
 
@@ -56,6 +56,14 @@ def has_nontrivial_ltr_maximum(order: UnitIntervalOrder, w) -> bool:
 
 def is_descent_free(order: UnitIntervalOrder, w) -> bool:
     return not any(order.less(w[i + 1], w[i]) for i in range(len(w) - 1))
+
+
+def descent_free_words(order: UnitIntervalOrder, k: int, bound=None):
+    """Words of length k with no descents (canonical heap words), in
+    lexicographic order; with a bound, letter a is used at most
+    bound[a-1] times."""
+    room = (k,) * order.n if bound is None else bound
+    return words(room, k, [~b for b in order.below])
 
 
 # ---------------------------------------------------------------------------
@@ -468,31 +476,10 @@ def enumerate_heaps(order: UnitIntervalOrder, mu) -> tuple:
 
 @lru_cache(maxsize=512)
 def _enumerate_heaps(order, mu):
-    words = sorted(_descent_free_words_of_type(order, mu))
-    return tuple(Heap.from_word(order, w) for w in words)
-
-
-def _descent_free_words_of_type(order, mu):
-    """Canonical heap words of type mu, generated by pruned search."""
-    counts = list(mu)
-    if len(counts) != order.n:
+    if len(mu) != order.n:
         raise ValueError("type vector length must equal n")
-    total = sum(counts)
-    word = []
-
-    def rec():
-        if len(word) == total:
-            yield tuple(word)
-            return
-        for a in range(1, order.n + 1):
-            if counts[a - 1] > 0 and (not word or not order.less(a, word[-1])):
-                counts[a - 1] -= 1
-                word.append(a)
-                yield from rec()
-                word.pop()
-                counts[a - 1] += 1
-
-    yield from rec()
+    canonical = descent_free_words(order, sum(mu), mu)
+    return tuple(Heap.from_word(order, w) for w in canonical)
 
 
 @dataclass(frozen=True)

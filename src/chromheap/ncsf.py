@@ -26,16 +26,16 @@ from fractions import Fraction
 from .errors import MathematicalError
 from .heaps import (
     Heap,
-    descent_positions,
+    descent_free_words,
     flip_closure,
     has_nontrivial_ltr_maximum,
     inversion_count,
     lex_normal_form,
 )
-from .partitions import conjugate, word_type
+from .partitions import word_type, words
 from .posets import UnitIntervalOrder
 from .qpoly import QPoly
-from .symfunc import m_in_basis_coords
+from .symfunc import dual_jacobi_trudi, m_in_basis_coords
 
 # class representatives, keyed by bound sequence then canonical heap word
 _rep_cache: dict = {}
@@ -189,41 +189,8 @@ class NCElement:
 
 def strictly_decreasing_words(order: UnitIntervalOrder, k: int, bound=None):
     """Words w_1 > ... > w_k in the order (reversed chains)."""
-    word = []
-
-    def rec():
-        if len(word) == k:
-            yield tuple(word)
-            return
-        for a in range(1, order.n + 1):
-            if bound is not None and not bound[a - 1]:
-                continue
-            if not word or order.less(a, word[-1]):
-                word.append(a)
-                yield from rec()
-                word.pop()
-
-    yield from rec()
-
-
-def descent_free_words(order: UnitIntervalOrder, k: int, bound=None):
-    """Words of length k with no descents (canonical heap words)."""
-    word = []
-    room = [k] * order.n if bound is None else list(bound)
-
-    def rec():
-        if len(word) == k:
-            yield tuple(word)
-            return
-        for a in range(1, order.n + 1):
-            if room[a - 1] and (not word or not order.less(a, word[-1])):
-                room[a - 1] -= 1
-                word.append(a)
-                yield from rec()
-                word.pop()
-                room[a - 1] += 1
-
-    yield from rec()
+    room = (k,) * order.n if bound is None else bound
+    return words(room, k, order.below)
 
 
 def unique_sink_words(order: UnitIntervalOrder, k: int, bound=None):
@@ -325,26 +292,9 @@ def nc_s(
         words = (reading_word(t) for t in enumerate_tableaux(order, lam, bound))
         return NCElement.from_words(order, words, bound)
     if method == "jacobi_trudi":
-        from .symfunc import _signed_perms
-
-        if not lam:
-            return NCElement.one(order, bound)
-        m = lam[0]
-        colsums = conjugate(lam)
         out = NCElement.zero(order, bound)
-        for sigma, sign in _signed_perms(m):
-            ks = []
-            ok = True
-            for j in range(m):
-                k = colsums[j] + sigma[j] - (j + 1)
-                if k < 0:
-                    ok = False
-                    break
-                if k > 0:
-                    ks.append(k)
-            if not ok:
-                continue
-            out = out + sign * nc_e(order, tuple(ks), bound=bound)
+        for sign, parts in dual_jacobi_trudi(lam):
+            out = out + sign * nc_e(order, parts, bound=bound)
         return out
     raise ValueError(f"unknown method {method!r}")
 
@@ -461,7 +411,6 @@ def hp_recurrence_check(order: UnitIntervalOrder, lam) -> bool:
     return lhs == nc_e(order, h) * nc_m(order, minus)
 
 
-# re-export used by callers that build descent statistics for words
 __all__ = [
     "NCElement",
     "class_representative",
@@ -479,5 +428,4 @@ __all__ = [
     "strictly_decreasing_words",
     "descent_free_words",
     "unique_sink_words",
-    "descent_positions",
 ]

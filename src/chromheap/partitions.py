@@ -22,11 +22,6 @@ def partitions(d: int, max_part: int | None = None) -> tuple:
     return tuple(out)
 
 
-def partitions_with_length(d: int, k: int):
-    """Partitions of d into exactly k positive parts."""
-    return tuple(lam for lam in partitions(d) if len(lam) == k)
-
-
 def conjugate(lam) -> tuple:
     """Conjugate partition (transpose of the diagram)."""
     if not lam:
@@ -107,28 +102,45 @@ def composition_to_subset(alpha) -> frozenset:
     return frozenset(out)
 
 
+def words(room, k=None, after=None):
+    """Words of length k (default sum(room)) using letter a at most
+    room[a-1] times, in lexicographic order, by pruned search.
+
+    Letters are 1-based. With a follow table, letter b may come right
+    after letter a only when bit b of after[a] is set.
+    """
+    n = len(room)
+    if k is None:
+        k = sum(room)
+    room = [0, *room]  # indexed by letter
+    letters = range(1, n + 1)
+    if after is None:
+        nexts = [letters] * (n + 1)
+    else:
+        nexts = [tuple(b for b in letters if after[a] >> b & 1) for a in range(n + 1)]
+    word = []
+
+    def rec(candidates):
+        if len(word) == k:
+            yield tuple(word)
+            return
+        for a in candidates:
+            if room[a]:
+                room[a] -= 1
+                word.append(a)
+                yield from rec(nexts[a])
+                word.pop()
+                room[a] += 1
+
+    yield from rec(letters)
+
+
 def multiset_permutations(mu):
     """All words using letter a exactly mu[a-1] times, in lexicographic order.
 
     Letters are 1-based; zero multiplicities are allowed and skipped.
     """
-    counts = list(mu)
-    total = sum(counts)
-    word = []
-
-    def rec():
-        if len(word) == total:
-            yield tuple(word)
-            return
-        for a in range(len(counts)):
-            if counts[a] > 0:
-                counts[a] -= 1
-                word.append(a + 1)
-                yield from rec()
-                word.pop()
-                counts[a] += 1
-
-    yield from rec()
+    return words(mu)
 
 
 def word_type(w, n: int) -> tuple:

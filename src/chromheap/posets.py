@@ -103,6 +103,21 @@ class UnitIntervalOrder:
         return tuple(out)
 
     @cached_property
+    def below(self) -> tuple:
+        """Bit b of below[a] is set when b precedes a in the order. As a
+        follow table for partitions.words, below gives the strictly
+        decreasing words and its complement the descent-free ones.
+        Index 0 is unused, like in touch."""
+        out = [0]
+        for a in range(1, self.n + 1):
+            mask = 0
+            for b in range(1, self.n + 1):
+                if self.less(b, a):
+                    mask |= 1 << b
+            out.append(mask)
+        return tuple(out)
+
+    @cached_property
     def edges(self) -> frozenset:
         return frozenset(
             (i, j)

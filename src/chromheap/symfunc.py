@@ -153,27 +153,28 @@ def _as_int(c):
 
 
 def _schur_to_m(lam) -> dict:
-    """Dual Jacobi-Trudi: signed sum over permutations of e-products."""
-    if not lam:
-        return {(): 1}
-    mcols = lam[0]
-    colsums = conjugate(lam)
+    """Monomial expansion of a Schur function by dual Jacobi-Trudi."""
     out = {}
-    for sigma, sign in _signed_perms(mcols):
-        rows = []
-        ok = True
-        for j in range(mcols):
-            k = colsums[j] + sigma[j] - (j + 1)
-            if k < 0:
-                ok = False
-                break
-            if k > 0:
-                rows.append(("e", k))
-        if not ok:
-            continue
-        for nu, c in _rows_to_m(tuple(rows)).items():
+    for sign, parts in dual_jacobi_trudi(lam):
+        for nu, c in _rows_to_m(tuple(("e", k) for k in parts)).items():
             out[nu] = out.get(nu, 0) + sign * c
     return {nu: c for nu, c in out.items() if c != 0}
+
+
+@lru_cache(maxsize=None)
+def dual_jacobi_trudi(lam: tuple) -> tuple:
+    """s_lam = det(e_{lam'_i - i + j}) as (sign, parts) pairs: one signed
+    product of e_k over the parts, for each permutation whose entries
+    all have k >= 0 (e_0 = 1 is dropped from the parts)."""
+    if not lam:
+        return ((1, ()),)
+    colsums = conjugate(lam)
+    out = []
+    for sigma, sign in _signed_perms(lam[0]):
+        ks = [colsums[j] + sigma[j] - (j + 1) for j in range(lam[0])]
+        if min(ks) >= 0:
+            out.append((sign, tuple(k for k in ks if k > 0)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -41,6 +41,12 @@ def test_usage_errors(capsys):
     assert code == 1 and "command" in err
 
 
+def test_unparsable_type_vector_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "expand", "--poset", "2,3,3", "--mu", "a,b,c")
+    assert code == 1 and out == ""
+    assert err == "error: cannot parse type vector 'a,b,c'\n"
+
+
 def test_expand_has_no_colors_flag(capsys):
     code, _, err = run(capsys, "expand", "--poset", "2,3,3", "--colors", "5")
     assert code == 1 and "--colors" in err
@@ -280,6 +286,95 @@ def test_verify_output_is_frozen(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_VERIFY[argv]
+
+
+# SHA-256 of stdout of expand in every basis and format, and of classes,
+# taken before the word searches and the Jacobi-Trudi loops were unified
+FROZEN_EXPAND = {
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "f", "--format", "json"):
+        "cf21b3999da4f5bdec69c7111aae07af4657d803fc04cff5b069adbafc0da187",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "f", "--format", "csv"):
+        "fbcf6fb851c73b020e5a79da3872e7d6f71c9d066a1bffc7789317daa07e8c0c",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "f", "--format", "pretty"):
+        "c9cd6f311d3d82af265c8691c987026c1f256a35cda4db14442e2b3705fae4a2",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "p", "--format", "json"):
+        "bfe3e5bbcf5eda27be22046454e02013aff574fd74ec0e526a93da224f283a1b",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "p", "--format", "csv"):
+        "25d3aa304e6c01c030a767bc523973b038ed3e338a93fe4641028ad3dcb4578c",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "p", "--format", "pretty"):
+        "c941d38bc85a3c4d3c1a8bf27cee79e2e9e732a2e3026050d12d70bb65a74016",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "s", "--format", "json"):
+        "fefd870b650400894990fe2fafd5fff158545260f7978e1c5e91bfea31197db5",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "s", "--format", "csv"):
+        "946957246c939fcff8e864a2a8c4aa8dd8aedb66a80194a9592e301a9cf32cb2",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "s", "--format", "pretty"):
+        "fce91befa579d64befc73afd2162ba5fee893c3da1125b39f46f70d7fce94307",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "e", "--format", "json"):
+        "82751ceccbb114ed204957972a892a57b18ce8b1537ebf47de173b4525259c24",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "e", "--format", "csv"):
+        "492da5889c17e0cca6b48566d07b896267efeda8026c795ff30f513f046edbf3",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "e", "--format", "pretty"):
+        "43bbd303a0642321bd4bf6100639ad98972a7393ebd660adf8f3dcfc7108cc8b",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "m", "--format", "json"):
+        "666d2b09d5c23d64ee88c2d29ec9256ed3eefc1a25a6e8462228c32fc4090786",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "m", "--format", "csv"):
+        "50d0eb01cd8adcc8af806862860dd02e1b282c5b542438f7527749c99626e0c6",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "m", "--format", "pretty"):
+        "158e483db29837de49583a8493b86c52d3813c94512da45f91356a724457872c",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "h", "--format", "json"):
+        "3bea47e7a60f545bae8059ba1b240908da43543ee281946cd80e2928644d4474",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "h", "--format", "csv"):
+        "632c8a4470d6bc5203774b3fcb2e14266432e1d1cdd35b31030026d95885570b",
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "h", "--format", "pretty"):
+        "bf1808ed6aaf057d90e56f168411e58c1e8b7ab4121acabfffba4e2f64ad0974",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "f", "--format", "json"):
+        "ef1977a70d830cf461a73e8323094c01a8471461da3f85a1c4793e6d127d4918",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "f", "--format", "csv"):
+        "deefc675427624e0ef82c7d2f4c8860122c4818c63655644e0977294542dc3b9",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "f", "--format", "pretty"):
+        "f0a844bc4367417990dbeed81b7126de509a24b92f0516414b7a6e6af1b0bec3",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "p", "--format", "json"):
+        "a03f492c3da4d277c049f4cf489ad8856dcd61683146d606f55411a4cabca55d",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "p", "--format", "csv"):
+        "fe0ad0fba32bd145a244bbc52089f8a9ea55e07456cb7442c8d62f0acb8903cd",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "p", "--format", "pretty"):
+        "ef8cac5a66ae9ad6f330e610d95a93d635616fff5eb23fae3af7cea71f166109",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "s", "--format", "json"):
+        "4f1aa7d654a90ea8a346e5d7a387c2dacc33bb9014cb7b674c2d55de4847b25d",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "s", "--format", "csv"):
+        "9d901a0b8937ec13db31db04058954f09235996485cea00af6f3e2be12d605cd",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "s", "--format", "pretty"):
+        "077d8e2f19c4c737edcc9af58b53aebdf7ded38f4a7444f471e5e542129b50b2",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "e", "--format", "json"):
+        "7dbf0f13d433d0e61cf44af8c42d3a8a8c839aab8ee35b7ea8dac136986ca426",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "e", "--format", "csv"):
+        "7ab8c392867d1d56ce8bfd0adf2d4a4f9f12fed5586aa030aecc8f06d9cefaed",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "e", "--format", "pretty"):
+        "1a1e085b76044ef461377fd3121574cc4fe1d86f99bc140883c1f942a38c9c7f",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "m", "--format", "json"):
+        "ea822f6b0442bb76ecf3dbf60004a460ef7f299b578ed1fc4870023248c482af",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "m", "--format", "csv"):
+        "55b42cf84d406c0eaebbbed4ee066663c65488e0faca1f9ece9f65360d518da1",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "m", "--format", "pretty"):
+        "ef870541a85de59153bde9e28d6ff0a61411e2964d7949c4c49c62850628f2bd",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "h", "--format", "json"):
+        "1a755b0328306fbabaf1bf84ecf65970b292fb04583ae2f4ec7965c714ac7431",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "h", "--format", "csv"):
+        "71a043803cf81df93ef67a08c29d5cbddeed3e78d5d20e30498b7b5377bf4168",
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "h", "--format", "pretty"):
+        "0a666313bfac8eb8105b11c50d975cd1996db3e8c24093d9601c864e8b906ae2",
+    ("classes", "--poset", "2,3,3", "--mu", "1,1,2", "--format", "pretty"):
+        "119d271ccf6beafa88d8b889c131808aad0a6a31f1f45e84d5a368154f7f681c",
+    ("classes", "--poset", "2,3,4,5,5", "--format", "pretty"):
+        "89ce77d988a085a74eabb156a5614150b146bf488051d29d5389465dfd4f9c87",
+}
+
+
+@pytest.mark.parametrize("argv", list(FROZEN_EXPAND), ids=" ".join)
+def test_expand_output_is_frozen(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_EXPAND[argv]
 
 
 def test_verify_all_suites_running_example(capsys):

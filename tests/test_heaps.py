@@ -169,6 +169,11 @@ def test_running_example_counts():
     assert len(enumerate_classes(P233, mu)) == 4
 
 
+def test_enumerate_heaps_rejects_wrong_type_length():
+    with pytest.raises(ValueError, match="type vector length must equal n"):
+        enumerate_heaps(P233, (1, 1))
+
+
 def test_class_methods_agree():
     cases = [(P233, (1, 1, 2)), (P233, (2, 2, 1)), (P2444, (1, 1, 1, 1))]
     for n in range(1, 5):

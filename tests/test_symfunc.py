@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,13 +11,16 @@ from chromheap.partitions import (
     composition_to_subset,
     conjugate,
     dominates,
+    multinomial,
     multiset_permutations,
     partitions,
     revlex_sorted,
     subset_to_composition,
     word_type,
+    words,
     z_factor,
 )
+from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly
 from chromheap.symfunc import (
     NotSymmetricError,
@@ -83,6 +87,38 @@ def test_multiset_permutations():
     words = list(multiset_permutations((1, 0, 2)))
     assert words == [(1, 3, 3), (3, 1, 3), (3, 3, 1)]
     assert word_type((3, 1, 3), 3) == (1, 0, 2)
+    for n in range(1, 5):
+        for mu in product(range(3), repeat=n):
+            assert len(list(multiset_permutations(mu))) == multinomial(mu)
+
+
+def test_words_equal_filtered_product():
+    """The pruned search against a filter of all words of length k, for
+    every order with n <= 4, room vector with entries <= 2 and k <= 5:
+    no follow rule, strictly decreasing (below) and descent-free
+    (~below)."""
+    for n in range(1, 5):
+        orders = list(UnitIntervalOrder.all_orders(n))
+        for k in range(6):
+            every = list(product(range(1, n + 1), repeat=k))
+            for room in product(range(3), repeat=n):
+                fits = [
+                    w for w in every
+                    if all(w.count(a) <= room[a - 1] for a in range(1, n + 1))
+                ]
+                assert list(words(room, k)) == fits
+                for order in orders:
+                    below = [
+                        w for w in fits
+                        if all(order.less(y, x) for x, y in zip(w, w[1:]))
+                    ]
+                    assert list(words(room, k, order.below)) == below
+                    descent_free = [
+                        w for w in fits
+                        if not any(order.less(y, x) for x, y in zip(w, w[1:]))
+                    ]
+                    after = [~b for b in order.below]
+                    assert list(words(room, k, after)) == descent_free
 
 
 # ---------------------------------------------------------------------------
