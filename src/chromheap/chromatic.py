@@ -390,7 +390,6 @@ def expansion(order: UnitIntervalOrder, mu, basis: str) -> ExpansionReport:
     """
     mu = tuple(mu)
     d = sum(mu)
-    omega_x = omega_chromatic_sym(order, mu)
     coeffs: dict = {}
     prov: dict = {}
     if basis in ("f", "p", "s"):
@@ -398,7 +397,7 @@ def expansion(order: UnitIntervalOrder, mu, basis: str) -> ExpansionReport:
         # the f-coefficient of X; <nc_p_lam, Gamma_mu> is z_lam times the
         # p-coefficient of omega X, and <nc_s_lam, Gamma_mu> its s-coefficient
         generator = {"f": nc_h, "p": nc_p, "s": nc_s}[basis]
-        change = omega_x.in_basis("m" if basis == "f" else basis)
+        change = omega_chromatic_sym(order, mu).in_basis("m" if basis == "f" else basis)
         for lam in partitions(d):
             theorem = pair_gamma(generator(order, lam, bound=mu), mu)
             other = change.get(lam, QPoly())
@@ -413,20 +412,24 @@ def expansion(order: UnitIntervalOrder, mu, basis: str) -> ExpansionReport:
                 coeffs[lam] = theorem
                 prov[lam] = "theorem+basis-change"
     elif basis == "e":
-        # X in e equals omega X in h
-        for lam, c in omega_x.in_basis("h").items():
+        # X in e equals omega X in h; the theorem checks read the same source
+        for lam, c in _e_coefficients(order, mu).items():
             coeffs[lam] = c
             prov[lam] = "basis-change"
-        _cross_check_e(order, mu, coeffs)
-        for lam in list(coeffs):
-            if _two_column_params(lam) or _hook_params(lam):
+        for lam in partitions(d):
+            tc, hk = _two_column_params(lam), _hook_params(lam)
+            if tc is not None:
+                coeff_e_two_column(order, mu, *tc)
+            if hk is not None:
+                coeff_e_hook(order, mu, *hk)
+            if lam in coeffs and (tc or hk):
                 prov[lam] = "theorem+basis-change"
     elif basis == "m":
-        for lam, c in omega_x.omega().terms.items():
+        for lam, c in omega_chromatic_sym(order, mu).omega().terms.items():
             coeffs[lam] = c
             prov[lam] = "basis-change"
     elif basis == "h":
-        for lam, c in omega_x.in_basis("e").items():
+        for lam, c in omega_chromatic_sym(order, mu).in_basis("e").items():
             coeffs[lam] = c
             prov[lam] = "basis-change"
     else:
@@ -450,36 +453,32 @@ def _hook_params(lam):
     return (lam[0] - 1, len(lam) - 1)
 
 
-def _cross_check_e(order, mu, coeffs):
-    d = sum(mu)
-    for lam in partitions(d):
-        tc = _two_column_params(lam)
-        if tc is not None:
-            got = coeff_e_two_column(order, mu, *tc, _cross_check=False)
-            want = coeffs.get(lam, QPoly())
-            if got != want:
-                raise CrossCheckError(
-                    f"two-column e-coefficient of {lam}: heaps give "
-                    f"{got.pretty()}, basis change gives {want.pretty()}"
-                )
-        hk = _hook_params(lam)
-        if hk is not None:
-            got = coeff_e_hook(order, mu, *hk, _cross_check=False)
-            want = coeffs.get(lam, QPoly())
-            if got != want:
-                raise CrossCheckError(
-                    f"hook e-coefficient of {lam}: heaps give "
-                    f"{got.pretty()}, basis change gives {want.pretty()}"
-                )
-
-
 # ---------------------------------------------------------------------------
 # theorem-path e-coefficients
 
 
-def coeff_e_two_column(
-    order: UnitIntervalOrder, mu, k: int, l: int, _cross_check: bool = True
-) -> QPoly:
+@lru_cache(maxsize=256)
+def _e_coefficients(order, mu) -> dict:
+    """The e-coordinates of the chromatic function (the h-coordinates of
+    omega X): the one source the theorem-path e-checks compare against."""
+    return omega_chromatic_sym(order, mu).in_basis("h")
+
+
+def _check_e(order, mu, lam, got, what):
+    """Raise CrossCheckError unless the heaps give the basis-change
+    e-coefficient of lam (zero when lam is not a partition of sum(mu))."""
+    want = QPoly()
+    if lam and sum(lam) == sum(mu):
+        want = _e_coefficients(order, mu).get(lam, QPoly())
+    if got != want:
+        raise CrossCheckError(
+            f"{what} e-coefficient of {lam}: heaps give {got.pretty()}, "
+            f"basis change gives {want.pretty()}"
+        )
+    return got
+
+
+def coeff_e_two_column(order: UnitIntervalOrder, mu, k: int, l: int) -> QPoly:
     """e-coefficient at (2^l, 1^(k-l)): heaps with k rank-1 blocks and
     l rank-2 blocks and no connected component of type W."""
     mu = tuple(mu)
@@ -497,22 +496,10 @@ def coeff_e_two_column(
             if any(h.component_type(c) == "W" for c in h.components):
                 continue
             out = out + QPoly.monomial(h.ascents)
-    if _cross_check:
-        lam = (2,) * l + (1,) * (k - l)
-        if not lam or sum(lam) != sum(mu):
-            want = QPoly()
-        else:
-            want = omega_chromatic_sym(order, mu).in_basis("h").get(lam, QPoly())
-        if out != want:
-            raise CrossCheckError(
-                f"two-column coefficient ({k},{l}): {out.pretty()} vs {want.pretty()}"
-            )
-    return out
+    return _check_e(order, mu, (2,) * l + (1,) * (k - l), out, "two-column")
 
 
-def coeff_e_hook(
-    order: UnitIntervalOrder, mu, a: int, l: int, _cross_check: bool = True
-) -> QPoly:
+def coeff_e_hook(order: UnitIntervalOrder, mu, a: int, l: int) -> QPoly:
     """e-coefficient at (a+1, 1^l): heaps with a+l+1 blocks, l+1 sinks,
     and the prescribed rank-2 structure."""
     mu = tuple(mu)
@@ -523,17 +510,7 @@ def coeff_e_hook(
         for h in enumerate_heaps(order, mu):
             if _in_hook_family(h, l):
                 out = out + QPoly.monomial(h.ascents)
-    if _cross_check:
-        lam = (a + 1,) + (1,) * l
-        if sum(lam) != sum(mu):
-            want = QPoly()
-        else:
-            want = omega_chromatic_sym(order, mu).in_basis("h").get(lam, QPoly())
-        if out != want:
-            raise CrossCheckError(
-                f"hook coefficient ({a},{l}): {out.pretty()} vs {want.pretty()}"
-            )
-    return out
+    return _check_e(order, mu, (a + 1,) + (1,) * l, out, "hook")
 
 
 def _in_hook_family(h: Heap, l: int) -> bool:
@@ -560,7 +537,7 @@ def _in_hook_family(h: Heap, l: int) -> bool:
     return not h.forbidden_paths()
 
 
-def sink_sum(order: UnitIntervalOrder, mu, k: int, _cross_check: bool = True) -> QPoly:
+def sink_sum(order: UnitIntervalOrder, mu, k: int) -> QPoly:
     """Sum of q^ascents over type-mu heaps with exactly k sinks; equals
     the sum of e-coefficients over partitions of length k."""
     mu = tuple(mu)
@@ -570,17 +547,15 @@ def sink_sum(order: UnitIntervalOrder, mu, k: int, _cross_check: bool = True) ->
     for h in enumerate_heaps(order, mu):
         if h.sink_count == k:
             out = out + QPoly.monomial(h.ascents)
-    if _cross_check:
-        ecoeffs = omega_chromatic_sym(order, mu).in_basis("h")
-        want = QPoly()
-        for lam, c in ecoeffs.items():
-            if len(lam) == k:
-                want = want + c
-        if out != want:
-            raise CrossCheckError(
-                f"sink sum k={k}: heaps give {out.pretty()}, e-report row "
-                f"sums give {want.pretty()}"
-            )
+    want = QPoly()
+    for lam, c in _e_coefficients(order, mu).items():
+        if len(lam) == k:
+            want = want + c
+    if out != want:
+        raise CrossCheckError(
+            f"sink sum k={k}: heaps give {out.pretty()}, e-report row "
+            f"sums give {want.pretty()}"
+        )
     return out
 
 

@@ -5,8 +5,9 @@ Symmetric functions are stored in the monomial basis, indexed by
 partitions of a fixed homogeneous degree. Expansions of the elementary,
 complete homogeneous, power sum and Schur bases into monomials are
 computed by counting matrices with prescribed row structure and column
-sums; basis changes in the other direction invert the (rational)
-transition matrix exactly.
+sums. Basis changes in the other direction read one cached table of the
+coordinates of each m_lam, peeled off the triangular expansions in
+dominance order by exact back-substitution.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .partitions import (
     compositions,
     composition_to_subset,
     conjugate,
+    multinomial,
     multiset_permutations,
     partitions,
     revlex_sorted,
@@ -135,21 +137,24 @@ def basis_to_m(basis: str, lam: tuple) -> dict:
         return _schur_to_m(lam)
     if basis == "f":
         # forgotten basis: the omega image of the monomial basis
-        coords = m_in_basis_coords(d, "e")[lam]
-        out = {}
-        for mu, c in coords.items():
-            for nu, a in basis_to_m("h", mu).items():
-                out[nu] = out.get(nu, Fraction(0)) + c * a
-        return {nu: _as_int(c) for nu, c in out.items() if c != 0}
+        return _combine(
+            (c, basis_to_m("h", mu)) for mu, c in m_in_basis_coords(d, "e")[lam].items()
+        )
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def _as_int(c):
-    if isinstance(c, Fraction):
-        if c.denominator != 1:
-            return c
-        return int(c)
-    return c
+def _combine(scaled_rows) -> dict:
+    """Sum of c * row over (c, row) pairs of sparse rows, in decreasing
+    partition order, zeros dropped and integral values as ints."""
+    acc: dict = {}
+    for c, row in scaled_rows:
+        for nu, x in row.items():
+            acc[nu] = acc.get(nu, 0) + c * x
+    return {
+        nu: x.numerator if x.denominator == 1 else x
+        for nu in revlex_sorted(acc)
+        if (x := acc[nu])
+    }
 
 
 def _schur_to_m(lam) -> dict:
@@ -165,74 +170,70 @@ def _schur_to_m(lam) -> dict:
 def dual_jacobi_trudi(lam: tuple) -> tuple:
     """s_lam = det(e_{lam'_i - i + j}) as (sign, parts) pairs: one signed
     product of e_k over the parts, for each permutation whose entries
-    all have k >= 0 (e_0 = 1 is dropped from the parts)."""
-    if not lam:
-        return ((1, ()),)
-    colsums = conjugate(lam)
+    all have k >= 0 (e_0 = 1 is dropped from the parts).
+
+    Row i (1-based) admits the values sigma_i >= i - lam'_i. These bounds
+    increase with i, so once the least value still free lies below the
+    bound of the row to fill, no row can take it and the branch is
+    dropped. Taking the j-th least free value (from 0) adds j inversions.
+    """
+    cols = conjugate(lam)
     out = []
-    for sigma, sign in _signed_perms(lam[0]):
-        ks = [colsums[j] + sigma[j] - (j + 1) for j in range(lam[0])]
-        if min(ks) >= 0:
-            out.append((sign, tuple(k for k in ks if k > 0)))
+
+    def rec(i, free, sign, parts):
+        if i == len(cols):
+            out.append((sign, parts))
+            return
+        low = i + 1 - cols[i]
+        if free[0] < low:
+            return
+        for j, v in enumerate(free):
+            if v >= low:
+                k = cols[i] - i - 1 + v
+                rest = free[:j] + free[j + 1 :]
+                rec(i + 1, rest, (-1) ** j * sign, parts + (k,) if k else parts)
+
+    rec(0, tuple(range(1, len(cols) + 1)), 1, ())
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _signed_perms(m: int) -> tuple:
-    """All permutations of [m] as tuples, with their signs."""
-    if m == 0:
-        return (((), 1),)
-    out = []
-    for perm, sign in _signed_perms(m - 1):
-        for pos in range(m):
-            new = perm[:pos] + (m,) + perm[pos:]
-            out.append((new, sign * (-1) ** (m - 1 - pos)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _inverse_transition(basis: str, d: int):
-    """Partitions of d (decreasing revlex) and the inverse of the
-    basis-to-monomial transition matrix, as exact Fractions."""
-    parts = revlex_sorted(partitions(d))
-    idx = {lam: i for i, lam in enumerate(parts)}
-    p = len(parts)
-    mat = [[Fraction(0)] * p for _ in range(p)]
-    for j, lam in enumerate(parts):
-        for mu, c in basis_to_m(basis, lam).items():
-            mat[idx[mu]][j] = Fraction(c)
-    inv = _invert(mat)
-    return tuple(parts), inv
-
-
-def _invert(mat):
-    """Exact Gauss-Jordan inverse of a rational matrix."""
-    p = len(mat)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(p)] for i, row in enumerate(mat)]
-    for col in range(p):
-        pivot = next((r for r in range(col, p) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("transition matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(p):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[p:]) for row in aug)
 
 
 @lru_cache(maxsize=None)
 def m_in_basis_coords(d: int, basis: str) -> dict:
-    """For each partition lam of d, the coordinates of m_lam in the basis."""
-    parts, inv = _inverse_transition(basis, d)
-    out = {}
-    for i, lam in enumerate(parts):
-        out[lam] = {
-            parts[j]: inv[j][i] for j in range(len(parts)) if inv[j][i] != 0
+    """For each partition lam of d, the coordinates of m_lam in the basis:
+    ints, and Fractions only where p divides.
+
+    partitions(d) lists the partitions dominant first, a linear extension
+    of dominance, and e, s and p are triangular against m in it. So each
+    row is peeled off rows already known: e_{lam'} and s_lam are m_lam
+    plus lower terms, and p_lam is prod_i m_i(lam)! m_lam plus higher
+    terms. The f rows are the expansions of f_lam = omega m_lam, and the
+    h rows the e-coordinates of f_lam.
+    """
+    parts = partitions(d)
+    if basis == "m":
+        return {lam: {lam: 1} for lam in parts}
+    if basis == "f":
+        return {lam: basis_to_m("f", lam) for lam in parts}
+    if basis == "h":
+        e_rows = m_in_basis_coords(d, "e")
+        return {
+            lam: _combine((c, e_rows[nu]) for nu, c in basis_to_m("f", lam).items())
+            for lam in parts
         }
-    return out
+    if basis not in ("e", "s", "p"):
+        raise ValueError(f"unknown basis {basis!r}")
+    rows: dict = {}
+    for lam in parts if basis == "p" else reversed(parts):
+        # the basis element `lead` is diag * m_lam plus known monomials
+        lead = conjugate(lam) if basis == "e" else lam
+        expansion = basis_to_m(basis, lead)
+        row = _combine(
+            [(1, {lead: 1})]
+            + [(-c, rows[nu]) for nu, c in expansion.items() if nu != lam]
+        )
+        diag = expansion[lam]
+        rows[lam] = row if diag == 1 else _combine([(Fraction(1, diag), row)])
+    return {lam: rows[lam] for lam in parts}
 
 
 def monomial_ones(lam, N: int) -> int:
@@ -314,31 +315,25 @@ class SymFunc:
         return bool(self.terms)
 
     def in_basis(self, basis: str) -> dict:
-        """Coordinates in the chosen basis, partition -> QPoly."""
+        """Coordinates in the chosen basis, partition -> QPoly: the rows
+        of m_in_basis_coords weighted by the monomial coefficients."""
         if basis == "m":
             return dict(self.terms)
-        parts, inv = _inverse_transition(basis, self.degree)
-        vec = [
-            (i, self.terms[lam].coeffs)
-            for i, lam in enumerate(parts)
-            if lam in self.terms
-        ]
+        table = m_in_basis_coords(self.degree, basis)
+        acc: dict = {}  # target -> q-coefficients, summed as exact scalars
+        for lam, c in self.terms.items():
+            coeffs = c.coeffs
+            for mu, x in table[lam].items():
+                row = acc.setdefault(mu, [])
+                if len(row) < len(coeffs):
+                    row.extend([0] * (len(coeffs) - len(row)))
+                for k, v in enumerate(coeffs):
+                    row[k] += x * v
         out = {}
-        for j, lam in enumerate(parts):
-            # the q-coefficients of target j, summed as exact scalars
-            acc = []
-            for i, coeffs in vec:
-                x = inv[j][i]
-                if x:
-                    if x.denominator == 1:
-                        x = x.numerator  # int arithmetic where it is exact
-                    if len(acc) < len(coeffs):
-                        acc.extend([0] * (len(coeffs) - len(acc)))
-                    for k, c in enumerate(coeffs):
-                        acc[k] += x * c
-            c = QPoly(acc)
+        for mu in revlex_sorted(acc):
+            c = QPoly(acc[mu])
             if c:
-                out[lam] = c
+                out[mu] = c
         return out
 
     def omega(self) -> "SymFunc":
@@ -475,18 +470,27 @@ class QSymFunc:
         return out
 
     def to_symmetric(self) -> SymFunc:
-        """Reinterpret as a symmetric function or raise NotSymmetricError."""
+        """Reinterpret as a symmetric function or raise NotSymmetricError.
+
+        The terms are grouped by sorted parts. A group is symmetric when
+        it holds every rearrangement of its parts, all with one
+        coefficient; only a failing group is searched for a witness.
+        """
         groups = {}
         for alpha in self.terms:
             groups.setdefault(tuple(sorted(alpha, reverse=True)), []).append(alpha)
         sym_terms = {}
         for lam, present in groups.items():
             ref = self.terms[present[0]]
-            for alpha in multiset_permutations(_parts_as_mu(lam)):
-                beta = _mu_word_to_composition(alpha, lam)
-                c = self.terms.get(beta, QPoly())
-                if c != ref:
-                    raise NotSymmetricError(present[0], beta, ref, c)
+            mults = _parts_as_mu(lam)
+            if len(present) != multinomial(mults) or any(
+                self.terms[alpha] != ref for alpha in present
+            ):
+                for alpha in multiset_permutations(mults):
+                    beta = _mu_word_to_composition(alpha, lam)
+                    c = self.terms.get(beta, QPoly())
+                    if c != ref:
+                        raise NotSymmetricError(present[0], beta, ref, c)
             sym_terms[lam] = ref
         return SymFunc(self.degree, sym_terms)
 

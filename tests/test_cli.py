@@ -13,10 +13,12 @@ import pytest
 import chromheap.chromatic as chromatic
 import chromheap.cli as cli
 import chromheap.ncsf as ncsf
-from chromheap.chromatic import CrossCheckError
+from chromheap.chromatic import CrossCheckError, expansion
 from chromheap.cli import main
 from chromheap.ncsf import NonIntegralWeightError
 from chromheap.partitions import partitions
+from chromheap.posets import UnitIntervalOrder
+from chromheap.qpoly import QPoly
 from chromheap.symfunc import QSymFunc
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -57,8 +59,14 @@ def _not_symmetric(order, mu):
     return QSymFunc(3, {(1, 2): 1})
 
 
+def _patch_word_route(monkeypatch, fake):
+    monkeypatch.setattr(chromatic, "omega_chromatic_qsym", fake)
+    # the e-coefficients cached by earlier calls would bypass the patch
+    chromatic._e_coefficients.cache_clear()
+
+
 def test_not_symmetric_is_a_math_failure(capsys, monkeypatch):
-    monkeypatch.setattr(chromatic, "omega_chromatic_qsym", _not_symmetric)
+    _patch_word_route(monkeypatch, _not_symmetric)
     code, out, err = run(capsys, "expand", "--poset", "2,3,3", "--mu", "1,1,1")
     assert code == 2 and out == ""
     assert err.startswith("cross-check failure:") and "M_[1, 2]" in err
@@ -66,7 +74,7 @@ def test_not_symmetric_is_a_math_failure(capsys, monkeypatch):
 
 
 def test_verify_reports_not_symmetric_as_fail(capsys, monkeypatch):
-    monkeypatch.setattr(chromatic, "omega_chromatic_qsym", _not_symmetric)
+    _patch_word_route(monkeypatch, _not_symmetric)
     code, out, _ = run(capsys, "verify", "--suite", "sinks", "--max-n", "2")
     assert code == 2
     lines = out.strip().splitlines()
@@ -84,6 +92,26 @@ def test_math_errors_exit_2(capsys, monkeypatch, error):
     code, out, err = run(capsys, "expand", "--poset", "2,3,3")
     assert code == 2 and out == ""
     assert err == "cross-check failure: routes disagree\n"
+
+
+def test_perturbed_e_source_fails_the_hook_check(capsys, monkeypatch):
+    order = UnitIntervalOrder.from_text("2,3,4,5,5")
+    mu = (1,) * 5
+    expansion(order, mu, "e")
+    real = chromatic._e_coefficients
+
+    def perturbed(order, mu):
+        # one more than the true e-coefficient of the hook (3,1,1), which is 0
+        coeffs = dict(real(order, mu))
+        coeffs[(3, 1, 1)] = coeffs.get((3, 1, 1), QPoly()) + 1
+        return coeffs
+
+    monkeypatch.setattr(chromatic, "_e_coefficients", perturbed)
+    with pytest.raises(CrossCheckError, match=r"hook e-coefficient of \(3, 1, 1\)"):
+        expansion(order, mu, "e")
+    code, out, err = run(capsys, "expand", "--poset", "2,3,4,5,5")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("cross-check failure: hook")
 
 
 def _half_weights(d, basis):
@@ -363,6 +391,32 @@ FROZEN_EXPAND = {
         "71a043803cf81df93ef67a08c29d5cbddeed3e78d5d20e30498b7b5377bf4168",
     ("expand", "--poset", "2,3,4,5,5", "--basis", "h", "--format", "pretty"):
         "0a666313bfac8eb8105b11c50d975cd1996db3e8c24093d9601c864e8b906ae2",
+    # n = 7 and n = 8 in every basis, taken before the basis change became a
+    # triangular back-substitution
+    ("expand", "--poset", "2,4,5,6,7,7,7", "--basis", "f", "--format", "json"):
+        "7ec6ea195c2c697baf6dfce2cf1be2a6eabbb8c0fb7332aef5c2fdf61d05504c",
+    ("expand", "--poset", "2,4,5,6,7,7,7", "--basis", "p", "--format", "json"):
+        "5dcb3852cdc8204f6c689020512bc1317fee2a0e722fd47aaa1b8e303b012b97",
+    ("expand", "--poset", "2,4,5,6,7,7,7", "--basis", "s", "--format", "json"):
+        "a065411020a52c62af340d6e9b5c845b9e1501fef7f45cc77191bece7cc490c2",
+    ("expand", "--poset", "2,4,5,6,7,7,7", "--basis", "e", "--format", "json"):
+        "aab0f7c5d6b10aa6490733db1c43b2151bf20024349cbd58ded7412d51117bfd",
+    ("expand", "--poset", "2,4,5,6,7,7,7", "--basis", "m", "--format", "json"):
+        "9efa176c0315211f6844e69680f150ed5bf8b3207d5094720ae17381aa3fd78d",
+    ("expand", "--poset", "2,4,5,6,7,7,7", "--basis", "h", "--format", "json"):
+        "1c6c862ce3a6d0a8a6382e5dda60b7296cb9815046af4c6abde02eadb72fb169",
+    ("expand", "--poset", "2,3,4,5,6,7,8,8", "--basis", "f", "--format", "json"):
+        "c75bd2f850e02a159513d7cb09bd489958d51198e00a2dc017f529c8fa5b2f39",
+    ("expand", "--poset", "2,3,4,5,6,7,8,8", "--basis", "p", "--format", "json"):
+        "1a099d1f17984785ba33db935de9fcc1a62c3f9f0789d4b0603f0d8a5ab50e6e",
+    ("expand", "--poset", "2,3,4,5,6,7,8,8", "--basis", "s", "--format", "json"):
+        "54cf87b0bc15f4fa27247b8df840fa07313e225283a6e6de173191f3a3716a2a",
+    ("expand", "--poset", "2,3,4,5,6,7,8,8", "--basis", "e", "--format", "json"):
+        "68f433ebb655b8333431e99439d22676148d834b84d9ded49b7e100ce9dba6af",
+    ("expand", "--poset", "2,3,4,5,6,7,8,8", "--basis", "m", "--format", "json"):
+        "ce3dae415d1c17910f59265237887b4e8ce452ee73ccfa22e7507a2d0b3c9424",
+    ("expand", "--poset", "2,3,4,5,6,7,8,8", "--basis", "h", "--format", "json"):
+        "d41cd9b3d60055313a6fa39aa82f19dd72b31781b3697d437f3bd03dfd58a247",
     ("classes", "--poset", "2,3,3", "--mu", "1,1,2", "--format", "pretty"):
         "119d271ccf6beafa88d8b889c131808aad0a6a31f1f45e84d5a368154f7f681c",
     ("classes", "--poset", "2,3,4,5,5", "--format", "pretty"):

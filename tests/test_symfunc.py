@@ -1,8 +1,9 @@
 """Commutative symmetric and quasisymmetric substrate."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -26,9 +27,9 @@ from chromheap.symfunc import (
     NotSymmetricError,
     QSymFunc,
     SymFunc,
-    _inverse_transition,
     _rows_to_m,
     basis_to_m,
+    dual_jacobi_trudi,
     m_in_basis_coords,
     monomial_ones,
     transition_M,
@@ -280,11 +281,34 @@ def test_rational_coordinates():
     }
 
 
+def _gauss_jordan_inverse(basis, d):
+    """Reference for m_in_basis_coords: partitions of d (decreasing) and
+    the exact Gauss-Jordan inverse of the dense basis-to-monomial matrix,
+    entry [j][i] the coordinate at parts[j] of m_{parts[i]}."""
+    parts = revlex_sorted(partitions(d))
+    idx = {lam: i for i, lam in enumerate(parts)}
+    p = len(parts)
+    aug = [[Fraction(0)] * p + [Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+    for j, lam in enumerate(parts):
+        for mu, c in basis_to_m(basis, lam).items():
+            aug[idx[mu]][j] = Fraction(c)
+    for col in range(p):
+        pivot = next(r for r in range(col, p) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(p):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return parts, [row[p:] for row in aug]
+
+
 def _in_basis_by_products(f, basis):
     """Reference for SymFunc.in_basis: one QPoly per product and per sum."""
     if basis == "m":
         return dict(f.terms)
-    parts, inv = _inverse_transition(basis, f.degree)
+    parts, inv = _gauss_jordan_inverse(basis, f.degree)
     vec = [f.terms.get(lam, QPoly()) for lam in parts]
     out = {}
     for j, lam in enumerate(parts):
@@ -295,6 +319,48 @@ def _in_basis_by_products(f, basis):
         if c:
             out[lam] = c
     return out
+
+
+def test_m_in_basis_coords_equals_gauss_jordan_inverse():
+    """The peeled table against the dense inverse for every basis, d <= 8:
+    same entries, an int where the entry is integral, else a Fraction."""
+    for d in range(9):
+        for basis in "fpsemh":
+            parts, inv = _gauss_jordan_inverse(basis, d)
+            want = {
+                lam: {
+                    parts[j]: int(inv[j][i]) if inv[j][i].denominator == 1 else inv[j][i]
+                    for j in range(len(parts))
+                    if inv[j][i] != 0
+                }
+                for i, lam in enumerate(parts)
+            }
+            got = m_in_basis_coords(d, basis)
+            assert got == want, (d, basis)
+            for lam, row in got.items():
+                assert [type(x) for x in row.values()] == [
+                    type(want[lam][mu]) for mu in row
+                ], (d, basis, lam)
+
+
+def test_dual_jacobi_trudi_equals_permutation_sum():
+    """The pruned expansion against a brute force over every permutation
+    of [lam_1], as a multiset of (sign, parts), for every |lam| <= 8."""
+    for d in range(9):
+        for lam in partitions(d):
+            cols = conjugate(lam)
+            m = len(cols)
+            want = Counter()
+            for sigma in permutations(range(1, m + 1)):
+                ks = [cols[i] - (i + 1) + sigma[i] for i in range(m)]
+                if min(ks, default=0) >= 0:
+                    inversions = sum(
+                        1 for i in range(m) for j in range(i + 1, m) if sigma[i] > sigma[j]
+                    )
+                    want[((-1) ** inversions, tuple(k for k in ks if k))] += 1
+            assert Counter(dual_jacobi_trudi(lam)) == want, lam
+    # a one-row shape keeps 2^(lam_1 - 1) of its lam_1! permutations
+    assert len(dual_jacobi_trudi((10,))) == 2**9
 
 
 def test_in_basis_matches_per_product_sums():
@@ -393,9 +459,25 @@ def test_to_symmetric():
     assert ca != cb
 
 
+def test_to_symmetric_witness_for_a_missing_rearrangement():
+    # M_(1,1,2) and M_(2,1,1) without M_(1,2,1); M_(3,1) is complete
+    terms = {(1, 1, 2): 2, (2, 1, 1): 2, (3, 1): 1, (1, 3): 1}
+    with pytest.raises(NotSymmetricError) as exc:
+        QSymFunc(4, terms).to_symmetric()
+    assert exc.value.witness == ((1, 1, 2), (1, 2, 1), QPoly((2,)), QPoly())
+
+
+def test_to_symmetric_witness_for_a_differing_rearrangement():
+    # every rearrangement of (2,1,1) is present, one with another coefficient
+    terms = {(2, 1, 1): QPoly((0, 1)), (1, 2, 1): QPoly((0, 1)), (1, 1, 2): QPoly((1, 1))}
+    with pytest.raises(NotSymmetricError) as exc:
+        QSymFunc(4, terms).to_symmetric()
+    assert exc.value.witness == ((2, 1, 1), (1, 1, 2), QPoly((0, 1)), QPoly((1, 1)))
+
+
 def test_m_in_basis_coords_consistency():
     for d in range(1, 6):
-        for basis in "ehp":
+        for basis in "fpseh":
             coords = m_in_basis_coords(d, basis)
             for lam, row in coords.items():
                 back = {}
