@@ -12,14 +12,17 @@ symmetry check then guards the result. The loop over all words of the
 type, omega_chromatic_qsym_by_words, is kept as the reference the tests
 compare against. Theorem-driven coefficient formulas (pairings, rank
 profiles of heaps, sink counts) are always cross-checked against the
-linear-algebra route; a disagreement raises CrossCheckError.
+linear-algebra route; a disagreement raises CrossCheckError. The heap
+sides of the e-checks share one cached pass over the heaps of a type.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import MathematicalError
 from .heaps import (
@@ -478,6 +481,45 @@ def _check_e(order, mu, lam, got, what):
     return got
 
 
+class _EHeapSums(NamedTuple):
+    """Sums of q^ascents over the heaps of one type, one q-polynomial per
+    bucket; a heap may fall in all three."""
+
+    sinks: dict  # k -> heaps with k sinks
+    two_column: dict  # (n1, n2) -> rank <= 2 heaps, no W component
+    hooks: dict  # l -> heaps in the hook family for l (l + 1 sinks)
+
+
+@lru_cache(maxsize=256)
+def _e_heap_sums(order, mu) -> _EHeapSums:
+    """One pass over the heaps of type mu for every theorem-side e check.
+    It reads the heaps alone, never the basis change."""
+    sinks: Counter = Counter()  # (bucket, ascents) -> heaps
+    two_column: Counter = Counter()
+    hooks: Counter = Counter()
+    for h in enumerate_heaps(order, mu):
+        asc = h.ascents
+        k = h.sink_count
+        sinks[k, asc] += 1
+        if h.rank <= 2 and all(h.component_type(c) != "W" for c in h.components):
+            n2 = h.levels.count(2)
+            two_column[(h.size - n2, n2), asc] += 1
+        if k > 1 and _in_hook_family(h, k - 1):
+            hooks[k - 1, asc] += 1
+    return _EHeapSums(_polys(sinks), _polys(two_column), _polys(hooks))
+
+
+def _polys(counts) -> dict:
+    """{(key, exponent): count} as {key: QPoly}."""
+    by_key: dict = {}
+    for (key, k), c in counts.items():
+        by_key.setdefault(key, {})[k] = c
+    return {
+        key: QPoly([by_exp.get(k, 0) for k in range(max(by_exp) + 1)])
+        for key, by_exp in by_key.items()
+    }
+
+
 def coeff_e_two_column(order: UnitIntervalOrder, mu, k: int, l: int) -> QPoly:
     """e-coefficient at (2^l, 1^(k-l)): heaps with k rank-1 blocks and
     l rank-2 blocks and no connected component of type W."""
@@ -486,54 +528,52 @@ def coeff_e_two_column(order: UnitIntervalOrder, mu, k: int, l: int) -> QPoly:
         raise ValueError("need k >= l >= 0")
     out = QPoly()
     if k + l == sum(mu):
-        for h in enumerate_heaps(order, mu):
-            if h.rank > 2:
-                continue
-            n1 = sum(1 for r in h.levels if r == 1)
-            n2 = sum(1 for r in h.levels if r == 2)
-            if n1 != k or n2 != l:
-                continue
-            if any(h.component_type(c) == "W" for c in h.components):
-                continue
-            out = out + QPoly.monomial(h.ascents)
+        out = _e_heap_sums(order, mu).two_column.get((k, l), out)
     return _check_e(order, mu, (2,) * l + (1,) * (k - l), out, "two-column")
 
 
 def coeff_e_hook(order: UnitIntervalOrder, mu, a: int, l: int) -> QPoly:
-    """e-coefficient at (a+1, 1^l): heaps with a+l+1 blocks, l+1 sinks,
-    and the prescribed rank-2 structure."""
+    """e-coefficient at (a+1, 1^l): the sum of q^ascents over the heaps
+    with a+l+1 blocks in the hook family for l.
+
+    A heap is in the hook family for l when it has l+1 sinks and either
+    exactly one rank-2 block, or exactly two rank-2 blocks p and r with
+      (A) a rank-1 block q that makes (p, q, r) a flippable triple,
+      (B) q the only block directly below p and the only one directly
+          below r, and
+      (C) no forbidden path anywhere in the heap (Heap.forbidden_paths).
+    Together (A) and (B) say just that p and r have the same blocks
+    directly below them, all of rank 1. Then the columns of p and r do
+    not touch, or one of p, r would lie directly below the other. Nor
+    can two blocks q1, q2 lie below: their columns would not touch each
+    other (both have rank 1) but would touch those of p and r, so the
+    four columns would span an induced 4-cycle of the incomparability
+    graph, which is chordal. So one block q lies below, covered by both
+    p and r, and (p, q, r) flips.
+    """
     mu = tuple(mu)
     if a < 1 or l < 1:
         raise ValueError("need a, l >= 1")
     out = QPoly()
     if a + l + 1 == sum(mu):
-        for h in enumerate_heaps(order, mu):
-            if _in_hook_family(h, l):
-                out = out + QPoly.monomial(h.ascents)
+        out = _e_heap_sums(order, mu).hooks.get(l, out)
     return _check_e(order, mu, (a + 1,) + (1,) * l, out, "hook")
 
 
 def _in_hook_family(h: Heap, l: int) -> bool:
+    """Membership in the hook family for l, as defined at coeff_e_hook."""
     if h.sink_count != l + 1:
         return False
-    rank2 = [b for b in range(h.size) if h.levels[b] == 2]
+    rank2 = [b for b, r in enumerate(h.levels) if r == 2]
     if len(rank2) == 1:
         return True
     if len(rank2) != 2:
         return False
     p, r = rank2
-    # (A) some rank-1 block q makes (p, q, r) flippable
-    q = None
-    for x, y, z in h.flippable_triples():
-        if h.levels[y] == 1 and {x, z} == {p, r}:
-            q = y
-            break
-    if q is None:
+    # (A) and (B), see coeff_e_hook
+    if h._lower[p] != h._lower[r]:
         return False
-    # (B) q is the only block directly under p or r
-    if h._lower[p] != (q,) or h._lower[r] != (q,):
-        return False
-    # (C) no forbidden path anywhere in the heap
+    # (C)
     return not h.forbidden_paths()
 
 
@@ -543,10 +583,7 @@ def sink_sum(order: UnitIntervalOrder, mu, k: int) -> QPoly:
     mu = tuple(mu)
     if k < 1:
         raise ValueError("need k >= 1")
-    out = QPoly()
-    for h in enumerate_heaps(order, mu):
-        if h.sink_count == k:
-            out = out + QPoly.monomial(h.ascents)
+    out = _e_heap_sums(order, mu).sinks.get(k, QPoly())
     want = QPoly()
     for lam, c in _e_coefficients(order, mu).items():
         if len(lam) == k:

@@ -350,7 +350,8 @@ def cmd_verify(args) -> int:
             for label, ok in SUITES[name](order, mu, args.colors):
                 lines.append(f"{'PASS' if ok else 'FAIL'} {tag} {name}:{label}")
                 failed = failed or not ok
-    text = "\n".join(lines) + "\n"
+    # a run where no check applies writes nothing, not a lone newline
+    text = "".join(line + "\n" for line in lines)
     _write(args, text)
     return 2 if failed else 0
 

@@ -402,53 +402,62 @@ class Heap:
         raise ValueError(f"impossible rank profile n1={n1}, n2={n2}")
 
     def forbidden_paths(self) -> list:
-        """Block sets forming a forbidden path (see module docstring of
-        the hook-coefficient routines for the role this plays).
+        """Block tuples forming a forbidden path, in lexicographic order
+        of their column sequences. A heap with one is outside the hook
+        family (see chromatic.coeff_e_hook).
 
         A forbidden path is a set of blocks, one per column a_1 < ... < a_k,
         whose columns induce a path in the incomparability graph, with
         rank(block in a_1) = 1 and rank(block in a_j) = k - j + 1 for
         j >= 2, such that the first three blocks form a flippable triple.
+
+        The rank r of the second block fixes k = r + 1, and from there on
+        each block has rank one less than the one before, so the search
+        extends a path only by a later column that touches the last
+        column, touches no earlier one, and holds a block of exactly that
+        rank. The triple is settled with the second block already: a
+        third block lies one rank below the second in a touching column,
+        so the second covers it, and its column does not touch the
+        first's; so the triple flips exactly when the second block also
+        covers the first. Columns are tried in increasing order and at
+        most one block of a column covers the first block, so the paths
+        come out in lexicographic order.
         """
-        order = self.order
-        by_col = {}
-        for b in range(self.size):
-            by_col.setdefault(self.cols[b], {})[self.levels[b]] = b
-        columns = sorted(by_col)
-        flips = set(self.flippable_triples())
-        flips |= {(r, q, p) for p, q, r in flips}
+        touch = self.order.touch
+        levels = self.levels
+        by_col: dict = {}  # column -> rank -> block
+        present = 0  # bit a set when column a holds a block
+        for b, a in enumerate(self.cols):
+            by_col.setdefault(a, {})[levels[b]] = b
+            present |= 1 << a
         out = []
 
-        def is_path(cols_):
-            for x in range(len(cols_)):
-                for y in range(x + 1, len(cols_)):
-                    adj = order.adjacent(cols_[x], cols_[y])
-                    if y - x == 1 and not adj:
-                        return False
-                    if y - x > 1 and adj:
-                        return False
-            return True
+        def later(last, earlier):
+            """Columns after `last` that touch it and nothing in `earlier`."""
+            mask = touch[last] & present & ~earlier & ~((2 << last) - 1)
+            while mask:
+                low = mask & -mask
+                yield low.bit_length() - 1
+                mask ^= low
 
-        def extend(path_cols):
-            k = len(path_cols)
-            if k >= 3:
-                blocks = []
-                ok = True
-                for j, a in enumerate(path_cols, start=1):
-                    want = 1 if j == 1 else k - j + 1
-                    b = by_col[a].get(want)
-                    if b is None:
-                        ok = False
-                        break
-                    blocks.append(b)
-                if ok and (blocks[0], blocks[1], blocks[2]) in flips:
-                    out.append(tuple(blocks))
-            for a in columns:
-                if a > path_cols[-1] and is_path(path_cols + [a]):
-                    extend(path_cols + [a])
+        def extend(path, last, earlier):
+            want = levels[path[-1]] - 1
+            if not want:
+                out.append(tuple(path))
+                return
+            for a in later(last, earlier):
+                b = by_col[a].get(want)
+                if b is not None:
+                    extend(path + [b], a, earlier | touch[last])
 
-        for a in columns:
-            extend([a])
+        for a1 in sorted(by_col):
+            p = by_col[a1].get(1)
+            if p is None:
+                continue
+            for a2 in later(a1, 0):
+                for q in by_col[a2].values():
+                    if p in self.covers[q]:
+                        extend([p, q], a2, touch[a1])
         return out
 
     def __eq__(self, other):

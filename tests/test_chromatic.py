@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from chromheap.chromatic import (
     CrossCheckError,
+    _e_heap_sums,
+    _in_hook_family,
     asc_des_symmetry_check,
     chromatic_sym,
     class_qsym,
@@ -33,6 +35,7 @@ from chromheap.heaps import descent_positions, enumerate_classes, enumerate_heap
 from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly, q_factorial
 from chromheap.symfunc import NotSymmetricError, QSymFunc
+from test_heaps import forbidden_paths_exhaustive, small_heap_types
 
 P233 = UnitIntervalOrder((2, 3, 3))
 P23455 = UnitIntervalOrder((2, 3, 4, 5, 5))
@@ -354,6 +357,101 @@ def test_two_column_and_hook_cross_checks_pass():
         coeff_e_two_column(P233, (1, 1, 1), 1, 2)
     with pytest.raises(ValueError):
         coeff_e_hook(P233, (1, 1, 1), 0, 1)
+
+
+def _in_hook_family_abc(h, l):
+    """Reference for chromatic._in_hook_family: conditions (A), (B) and
+    (C) as stated at coeff_e_hook, with (A) read off the flippable
+    triples and (C) from the exhaustive forbidden-path search."""
+    if h.sink_count != l + 1:
+        return False
+    rank2 = [b for b in range(h.size) if h.levels[b] == 2]
+    if len(rank2) == 1:
+        return True
+    if len(rank2) != 2:
+        return False
+    p, r = rank2
+    q = None
+    for x, y, z in h.flippable_triples():
+        if h.levels[y] == 1 and {x, z} == {p, r}:
+            q = y
+            break
+    if q is None:
+        return False
+    if h._lower[p] != (q,) or h._lower[r] != (q,):
+        return False
+    return not forbidden_paths_exhaustive(h)
+
+
+def test_hook_family_equals_conditions_a_b_c():
+    members = 0
+    for order, mu in small_heap_types():
+        for h in enumerate_heaps(order, mu):
+            for l in range(h.size + 1):
+                got = _in_hook_family(h, l)
+                assert got == _in_hook_family_abc(h, l), (h, l)
+                members += got
+    assert members > 5000
+
+
+def _two_column_loop(order, mu, k, l):
+    out = QPoly()
+    if k + l == sum(mu):
+        for h in enumerate_heaps(order, mu):
+            if h.rank > 2:
+                continue
+            n1 = sum(1 for r in h.levels if r == 1)
+            n2 = sum(1 for r in h.levels if r == 2)
+            if n1 != k or n2 != l:
+                continue
+            if any(h.component_type(c) == "W" for c in h.components):
+                continue
+            out = out + QPoly.monomial(h.ascents)
+    return out
+
+
+def _hook_loop(order, mu, a, l):
+    out = QPoly()
+    if a + l + 1 == sum(mu):
+        for h in enumerate_heaps(order, mu):
+            if _in_hook_family_abc(h, l):
+                out = out + QPoly.monomial(h.ascents)
+    return out
+
+
+def _sink_loop(order, mu, k):
+    out = QPoly()
+    for h in enumerate_heaps(order, mu):
+        if h.sink_count == k:
+            out = out + QPoly.monomial(h.ascents)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders_and_types())
+def test_heap_sums_equal_the_per_shape_loops(case):
+    _assert_heap_sums_match_the_loops(*case)
+
+
+def test_heap_sums_equal_the_per_shape_loops_on_small_types():
+    # random orders rarely have a rank <= 2 heap with a W component; these do
+    for order, mu in small_heap_types():
+        _assert_heap_sums_match_the_loops(order, mu)
+
+
+def _assert_heap_sums_match_the_loops(order, mu):
+    d = sum(mu)
+    sums = _e_heap_sums(order, mu)
+    for k in range(d + 2):
+        assert sums.sinks.get(k, QPoly()) == _sink_loop(order, mu, k), k
+        # every (k, l), also k < l: a W component has more rank-2 blocks
+        for l in range(d + 2):
+            got = sums.two_column.get((k, l), QPoly())
+            assert got == _two_column_loop(order, mu, k, l), (k, l)
+    for a in range(1, d + 1):
+        for l in range(1, d + 1):
+            got = sums.hooks.get(l, QPoly()) if a + l + 1 == d else QPoly()
+            assert got == _hook_loop(order, mu, a, l), (a, l)
 
 
 def test_sink_sum():

@@ -114,6 +114,44 @@ def test_perturbed_e_source_fails_the_hook_check(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("cross-check failure: hook")
 
 
+def _perturbed_e_source(monkeypatch, lam):
+    """Make _e_coefficients report one more at lam than it should."""
+    real = chromatic._e_coefficients
+
+    def perturbed(order, mu):
+        coeffs = dict(real(order, mu))
+        coeffs[lam] = coeffs.get(lam, QPoly()) + 1
+        return coeffs
+
+    monkeypatch.setattr(chromatic, "_e_coefficients", perturbed)
+
+
+def test_perturbed_e_source_fails_the_two_column_check(monkeypatch):
+    order = UnitIntervalOrder.from_text("2,3,4,5,5")
+    mu = (1,) * 5
+    assert chromatic.coeff_e_two_column(order, mu, 3, 2) == QPoly.monomial(2)
+    # the heap sums are cached now; the comparison still reads the source
+    _perturbed_e_source(monkeypatch, (2, 2, 1))
+    text = (
+        "two-column e-coefficient of (2, 2, 1): heaps give q^2, "
+        "basis change gives 1 + q^2"
+    )
+    with pytest.raises(CrossCheckError) as info:
+        chromatic.coeff_e_two_column(order, mu, 3, 2)
+    assert str(info.value) == text
+
+
+def test_perturbed_e_source_fails_the_sink_sum(monkeypatch):
+    order = UnitIntervalOrder.from_text("2,3,4,5,5")
+    mu = (1,) * 5
+    assert chromatic.sink_sum(order, mu, 3) == QPoly.monomial(2)
+    _perturbed_e_source(monkeypatch, (2, 2, 1))
+    text = "sink sum k=3: heaps give q^2, e-report row sums give 1 + q^2"
+    with pytest.raises(CrossCheckError) as info:
+        chromatic.sink_sum(order, mu, 3)
+    assert str(info.value) == text
+
+
 def _half_weights(d, basis):
     return {lam: {(1,) * d: Fraction(1, 2)} for lam in partitions(d)}
 
@@ -289,6 +327,12 @@ def test_verify_checks_colors_before_any_suite(capsys, argv, need):
     assert err.startswith("error: ") and f"--colors {need}" in err
 
 
+def test_verify_with_no_applicable_check_writes_nothing(capsys):
+    # no hook (a+1, 1^l) with a, l >= 1 has fewer than 3 cells
+    code, out, err = run(capsys, "verify", "--suite", "hook", "--max-n", "2")
+    assert (code, out, err) == (0, "", "")
+
+
 def test_verify_accepts_enough_colors(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "oracle", "--max-n", "3", "--colors", "3"
@@ -306,6 +350,14 @@ FROZEN_VERIFY = {
         "3c50f6b80d6306a71691cbf9facd7704ef2182c82311ae1c2f0e574fad9c46e5",
     ("verify", "--suite", "oracle", "--poset", "2,3,3", "--mu", "3,2,2"):
         "f6b009a72093fc98be7de88a7b160c6adbff6339d22ca89b43d199a2e675ecbf",
+    # the heap-side e checks up to n = 6, taken before they shared one
+    # pass over the heaps and the forbidden-path search was rank-pruned
+    ("verify", "--suite", "hook", "--max-n", "6"):
+        "ea91dcc5dcb42913ec0782d4a5ccdd9696c2a6c8c6ed089e718f83834823030a",
+    ("verify", "--suite", "two-column", "--max-n", "6"):
+        "d27b94103802cb1326f378d0f76ab36172d82dcf1eba5aab65f7c06ce15fc464",
+    ("verify", "--suite", "sinks", "--max-n", "6"):
+        "8bbe9672cdd965305deef9a925f71c2bc9e574a767dc081c8efb134f2555f0ed",
 }
 
 
@@ -417,6 +469,9 @@ FROZEN_EXPAND = {
         "ce3dae415d1c17910f59265237887b4e8ce452ee73ccfa22e7507a2d0b3c9424",
     ("expand", "--poset", "2,3,4,5,6,7,8,8", "--basis", "h", "--format", "json"):
         "d41cd9b3d60055313a6fa39aa82f19dd72b31781b3697d437f3bd03dfd58a247",
+    # n = 9 in e, taken before the e cross-checks shared one pass over the heaps
+    ("expand", "--poset", "3,4,5,6,7,8,9,9,9", "--basis", "e", "--format", "json"):
+        "f8cc1a128391b3e636c4bb741d4a0e28e520806ed43c11d936be741737ccf44e",
     ("classes", "--poset", "2,3,3", "--mu", "1,1,2", "--format", "pretty"):
         "119d271ccf6beafa88d8b889c131808aad0a6a31f1f45e84d5a368154f7f681c",
     ("classes", "--poset", "2,3,4,5,5", "--format", "pretty"):

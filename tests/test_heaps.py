@@ -1,5 +1,7 @@
 """Heaps, canonical words, flips and the word graph."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -312,6 +314,101 @@ def test_forbidden_path_longer():
     heap = Heap.from_levels(order, {1: [1], 2: [3], 3: [2], 4: [1]})
     paths = heap.forbidden_paths()
     assert any([heap.cols[b] for b in p] == [1, 2, 3, 4] for p in paths)
+
+
+def forbidden_paths_exhaustive(heap):
+    """Reference for Heap.forbidden_paths: every induced column path in
+    depth-first order, with the ranks and the flippable first triple
+    checked only once a path is complete."""
+    order = heap.order
+    by_col = {}
+    for b in range(heap.size):
+        by_col.setdefault(heap.cols[b], {})[heap.levels[b]] = b
+    columns = sorted(by_col)
+    flips = set(heap.flippable_triples())
+    flips |= {(r, q, p) for p, q, r in flips}
+    out = []
+
+    def is_path(cols_):
+        for x in range(len(cols_)):
+            for y in range(x + 1, len(cols_)):
+                adj = order.adjacent(cols_[x], cols_[y])
+                if y - x == 1 and not adj:
+                    return False
+                if y - x > 1 and adj:
+                    return False
+        return True
+
+    def extend(path_cols):
+        k = len(path_cols)
+        if k >= 3:
+            blocks = []
+            ok = True
+            for j, a in enumerate(path_cols, start=1):
+                want = 1 if j == 1 else k - j + 1
+                b = by_col[a].get(want)
+                if b is None:
+                    ok = False
+                    break
+                blocks.append(b)
+            if ok and (blocks[0], blocks[1], blocks[2]) in flips:
+                out.append(tuple(blocks))
+        for a in columns:
+            if a > path_cols[-1] and is_path(path_cols + [a]):
+                extend(path_cols + [a])
+
+    for a in columns:
+        extend([a])
+    return out
+
+
+def small_heap_types():
+    """(order, mu) for mu = 1^n over every order with n <= 6, and every
+    other type with entries <= 2 over every order with n <= 4."""
+    for n in range(1, 7):
+        for order in UnitIntervalOrder.all_orders(n):
+            yield order, (1,) * n
+            if n > 4:
+                continue
+            for mu in itertools.product(range(3), repeat=n):
+                if any(x != 1 for x in mu) and sum(mu):
+                    yield order, mu
+
+
+def test_forbidden_paths_equal_the_exhaustive_search():
+    heaps = found = 0
+    for order, mu in small_heap_types():
+        for h in enumerate_heaps(order, mu):
+            paths = h.forbidden_paths()
+            assert paths == forbidden_paths_exhaustive(h), h
+            heaps += 1
+            found += bool(paths)
+    # the sweep reaches heaps with and without forbidden paths
+    assert heaps > 20000 and found > 1000
+
+
+def test_flipped_heaps_keep_levels_and_lower_blocks():
+    """Flips leave block ids out of topological order; levels and _lower
+    still come from the orientation and match the rebuilt diagram."""
+    for n in range(1, 6):
+        for order in UnitIntervalOrder.all_orders(n):
+            for mu in ((1,) * n, (2,) + (1,) * (n - 1)):
+                for cls in enumerate_classes(order, mu):
+                    for h in cls.heaps:
+                        _assert_matches_its_diagram(h)
+
+
+def _assert_matches_its_diagram(h):
+    diagram = {}
+    for b in range(h.size):
+        diagram.setdefault(h.cols[b], []).append(h.levels[b])
+    rebuilt = Heap.from_levels(h.order, diagram)
+    assert rebuilt == h
+    where = {(rebuilt.cols[b], rebuilt.levels[b]): b for b in range(rebuilt.size)}
+    for b in range(h.size):
+        twin = where[h.cols[b], h.levels[b]]
+        labels = {(h.cols[u], h.levels[u]) for u in h._lower[b]}
+        assert labels == {(rebuilt.cols[u], rebuilt.levels[u]) for u in rebuilt._lower[twin]}
 
 
 # ---------------------------------------------------------------------------
