@@ -571,7 +571,7 @@ def _in_hook_family(h: Heap, l: int) -> bool:
         return False
     p, r = rank2
     # (A) and (B), see coeff_e_hook
-    if h._lower[p] != h._lower[r]:
+    if h.lower[p] != h.lower[r]:
         return False
     # (C)
     return not h.forbidden_paths()

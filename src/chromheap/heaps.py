@@ -6,6 +6,11 @@ exactly when a == b or a, b are incomparable; edges between copies of
 the same interval always point toward the earlier copy. Words of type
 mu correspond to heaps by dropping blocks onto the interval model in
 reading order, and the words of a heap are its linear extensions.
+
+A Heap stores its orientation as one bitmask per block, the blocks
+directly below it, and reads ranks, sinks, covers, components and words
+off these masks. A local flip reverses the two edges of a flippable
+triple and keeps the block ids.
 """
 
 from __future__ import annotations
@@ -107,15 +112,30 @@ def lex_normal_form(order: UnitIntervalOrder, word) -> tuple:
 # heaps
 
 
+def _bits(mask: int):
+    """Indices of the set bits of a mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Heap:
-    """Immutable heap; block ids are 0..d-1, each with a column."""
+    """Immutable heap; block ids are 0..d-1, each with a column.
 
-    __slots__ = ("order", "cols", "orient", "__dict__")
+    The orientation is one int per block: bit u of lower[b] is set when
+    block u lies directly below block b (their columns touch, and the
+    edge between them points up to b). Every statistic is read off
+    these masks. Flips keep the block ids, so in a flipped heap the ids
+    need not run bottom-up.
+    """
 
-    def __init__(self, order: UnitIntervalOrder, cols, orient):
+    __slots__ = ("order", "cols", "lower", "__dict__")
+
+    def __init__(self, order: UnitIntervalOrder, cols, lower):
         self.order = order
         self.cols = tuple(cols)
-        self.orient = frozenset(orient)
+        self.lower = tuple(lower)
 
     @classmethod
     def from_word(cls, order: UnitIntervalOrder, word) -> "Heap":
@@ -123,42 +143,48 @@ class Heap:
         word = tuple(word)
         if not word:
             raise ValueError("empty word")
-        for a in word:
+        touch = order.touch
+        dropped = [0] * (order.n + 1)  # column -> its blocks so far
+        lower = []
+        for j, a in enumerate(word):
             if not 1 <= a <= order.n:
                 raise ValueError(f"letter {a} outside the alphabet")
-        touch = order.touch
-        orient = [
-            (i, j)
-            for j in range(len(word))
-            for i in range(j)
-            if touch[word[j]] >> word[i] & 1
-        ]
-        return cls(order, word, orient)
+            below = 0
+            for c in _bits(touch[a]):
+                below |= dropped[c]
+            lower.append(below)
+            dropped[a] |= 1 << j
+        return cls(order, word, lower)
 
     @classmethod
     def from_levels(cls, order: UnitIntervalOrder, levels) -> "Heap":
         """Build from a diagram given as {column: iterable of levels}.
 
-        Raises ValueError when the diagram is not gravity-stable, i.e.
+        Raises ValueError for a column outside 1..n, for touching blocks
+        on one level, and when the diagram is not gravity-stable, i.e.
         when the recomputed levels disagree with the given ones.
         """
+        for a in levels:
+            if not 1 <= a <= order.n:
+                raise ValueError(f"column {a} outside the alphabet")
         blocks = []
         for a in sorted(levels):
             for lv in sorted(levels[a]):
                 blocks.append((a, lv))
         cols = tuple(a for a, _ in blocks)
         lvls = tuple(lv for _, lv in blocks)
-        orient = set()
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if cols[i] == cols[j] or order.adjacent(cols[i], cols[j]):
+        touch = order.touch
+        lower = [0] * len(blocks)
+        for j in range(len(blocks)):
+            for i in range(j):
+                if touch[cols[i]] >> cols[j] & 1:
                     if lvls[i] == lvls[j]:
                         raise ValueError("adjacent blocks share a level")
                     if lvls[i] < lvls[j]:
-                        orient.add((i, j))
+                        lower[j] |= 1 << i
                     else:
-                        orient.add((j, i))
-        heap = cls(order, cols, orient)
+                        lower[i] |= 1 << j
+        heap = cls(order, cols, lower)
         if heap.levels != lvls:
             raise ValueError("diagram is not gravity-stable")
         return heap
@@ -172,31 +198,29 @@ class Heap:
         return word_type(self.cols, self.order.n)
 
     @cached_property
-    def _lower(self) -> tuple:
-        """For each block, the adjacent blocks directly below it."""
-        lower = [[] for _ in self.cols]
-        for lo, hi in self.orient:
-            lower[hi].append(lo)
-        return tuple(tuple(sorted(v)) for v in lower)
-
-    @cached_property
-    def _upper(self) -> tuple:
-        upper = [[] for _ in self.cols]
-        for lo, hi in self.orient:
-            upper[lo].append(hi)
-        return tuple(tuple(sorted(v)) for v in upper)
-
-    @cached_property
     def levels(self) -> tuple:
-        """Rank of each block: one more than the longest downward path."""
-        memo = [0] * self.size
-        def rank(b):
-            if memo[b] == 0:
-                memo[b] = 1 + max((rank(u) for u in self._lower[b]), default=0)
-            return memo[b]
-        for b in range(self.size):
-            rank(b)
-        return tuple(memo)
+        """Rank of each block: one more than the longest downward path.
+
+        Rank layers are peeled from the bottom: a block gets rank r in
+        the first round r in which all of its lower blocks are done.
+        Raises ValueError when the masks hold a cycle.
+        """
+        out = [0] * self.size
+        pending = (1 << self.size) - 1
+        rank = 0
+        while pending:
+            rank += 1
+            layer = [b for b in _bits(pending) if not self.lower[b] & pending]
+            if not layer:
+                raise ValueError("the orientation has a cycle")
+            for b in layer:
+                out[b] = rank
+                pending ^= 1 << b
+        return tuple(out)
+
+    def _bottom_up(self) -> list:
+        """Block ids by rank, lowest first: a linear extension."""
+        return sorted(range(self.size), key=self.levels.__getitem__)
 
     @cached_property
     def rank(self) -> int:
@@ -204,42 +228,25 @@ class Heap:
 
     @cached_property
     def sinks(self) -> tuple:
-        return tuple(b for b in range(self.size) if not self._lower[b])
+        return tuple(b for b, below in enumerate(self.lower) if not below)
 
     @property
     def sink_count(self) -> int:
         return len(self.sinks)
 
     @cached_property
-    def _descendants(self) -> tuple:
-        """Bitmask of blocks strictly below each block."""
-        memo = [None] * self.size
-        def desc(b):
-            if memo[b] is None:
-                mask = 0
-                for u in self._lower[b]:
-                    mask |= (1 << u) | desc(u)
-                memo[b] = mask
-            return memo[b]
-        for b in range(self.size):
-            desc(b)
-        return tuple(memo)
-
-    @cached_property
     def covers(self) -> tuple:
-        """For each block, the blocks it covers in the heap order."""
-        out = []
-        for b in range(self.size):
-            below = self._lower[b]
-            cb = []
-            for u in below:
-                others = 0
-                for v in below:
-                    if v != u:
-                        others |= (1 << v) | self._descendants[v]
-                if not (others >> u) & 1:
-                    cb.append(u)
-            out.append(tuple(cb))
+        """For each block, the blocks it covers in the heap order: the
+        lower blocks that lie below none of its other lower blocks."""
+        under = [0] * self.size  # blocks strictly below each block
+        out = [()] * self.size
+        for b in self._bottom_up():
+            below = self.lower[b]
+            deeper = 0
+            for u in _bits(below):
+                deeper |= under[u]
+            under[b] = below | deeper
+            out[b] = tuple(_bits(below & ~deeper))
         return tuple(out)
 
     @cached_property
@@ -253,60 +260,50 @@ class Heap:
     @cached_property
     def canonical_word(self) -> tuple:
         """The unique descent-free word of the heap: the normal form of
-        any of its words, here one read off by peeling minimal blocks."""
-        pending = [0] * self.size
-        upper = [[] for _ in self.cols]
-        for lo, hi in self.orient:
-            pending[hi] += 1
-            upper[lo].append(hi)
-        free = [b for b in range(self.size) if not pending[b]]
-        word = []
-        while free:
-            b = free.pop()
-            word.append(self.cols[b])
-            for v in upper[b]:
-                pending[v] -= 1
-                if not pending[v]:
-                    free.append(v)
-        return lex_normal_form(self.order, word)
+        any of its words, here the one read off rank by rank."""
+        return lex_normal_form(self.order, [self.cols[b] for b in self._bottom_up()])
 
     def words(self) -> list:
         """All words of the heap (column readings of linear extensions)."""
-        pending = [len(self._lower[b]) for b in range(self.size)]
-        remaining = set(range(self.size))
+        full = (1 << self.size) - 1
         word = []
         out = []
 
-        def rec():
-            if not remaining:
+        def rec(done):
+            if done == full:
                 out.append(tuple(word))
                 return
-            for b in sorted(remaining):
-                if pending[b] == 0:
-                    remaining.remove(b)
-                    for v in self._upper[b]:
-                        pending[v] -= 1
+            for b in _bits(full & ~done):
+                if not self.lower[b] & ~done:
                     word.append(self.cols[b])
-                    rec()
+                    rec(done | 1 << b)
                     word.pop()
-                    for v in self._upper[b]:
-                        pending[v] += 1
-                    remaining.add(b)
 
-        rec()
+        rec(0)
         return out
 
     @cached_property
     def ascents(self) -> int:
         """Oriented adjacencies whose lower block sits in a larger column."""
-        return sum(1 for lo, hi in self.orient if self.cols[lo] > self.cols[hi])
+        cols = self.cols
+        return sum(
+            1
+            for b, below in enumerate(self.lower)
+            for u in _bits(below)
+            if cols[u] > cols[b]
+        )
+
+    @cached_property
+    def _columns(self) -> dict:
+        """Column -> its block ids from the bottom up."""
+        out: dict = {}
+        for b in self._bottom_up():
+            out.setdefault(self.cols[b], []).append(b)
+        return out
 
     def block(self, a: int, i: int) -> int:
         """Id of the i-th lowest block (1-based) in column a."""
-        col = sorted(
-            (b for b in range(self.size) if self.cols[b] == a),
-            key=lambda b: self.levels[b],
-        )
+        col = self._columns.get(a, ())
         if not 1 <= i <= len(col):
             raise ValueError(f"column {a} has no block {i}")
         return col[i - 1]
@@ -314,11 +311,7 @@ class Heap:
     def block_label(self, b: int) -> tuple:
         """(column, position from the bottom) of a block id."""
         a = self.cols[b]
-        col = sorted(
-            (x for x in range(self.size) if self.cols[x] == a),
-            key=lambda x: self.levels[x],
-        )
-        return (a, col.index(b) + 1)
+        return (a, self._columns[a].index(b) + 1)
 
     def flippable_triples(self) -> list:
         """Triples (p, q, r) with q covering both p and r, or covered by
@@ -346,40 +339,35 @@ class Heap:
         return self._flip(triple)
 
     def _flip(self, triple) -> "Heap":
-        """flip without the check that the triple is flippable."""
+        """flip without the check that the triple is flippable. Each of
+        the edges p-q and q-r moves its bit to the other end's mask; the
+        block ids stay."""
         p, q, r = triple
-        orient = set(self.orient)
+        lower = list(self.lower)
         for u, v in ((p, q), (q, r)):
-            if (u, v) in orient:
-                orient.remove((u, v))
-                orient.add((v, u))
-            else:
-                orient.remove((v, u))
-                orient.add((u, v))
-        return Heap(self.order, self.cols, orient)
+            lower[u] ^= 1 << v
+            lower[v] ^= 1 << u
+        return Heap(self.order, self.cols, lower)
 
     @cached_property
     def components(self) -> tuple:
         """Connected components of the adjacency graph on blocks."""
-        seen = set()
+        adjacent = list(self.lower)
+        for b, below in enumerate(self.lower):
+            for u in _bits(below):
+                adjacent[u] |= 1 << b
         comps = []
-        adj = [[] for _ in self.cols]
-        for lo, hi in self.orient:
-            adj[lo].append(hi)
-            adj[hi].append(lo)
-        for b in range(self.size):
-            if b in seen:
-                continue
-            stack, comp = [b], []
-            seen.add(b)
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(tuple(sorted(comp)))
+        left = (1 << self.size) - 1
+        while left:
+            comp = grow = left & -left
+            while grow:
+                reach = 0
+                for x in _bits(grow):
+                    reach |= adjacent[x]
+                grow = reach & ~comp
+                comp |= grow
+            left ^= comp
+            comps.append(tuple(_bits(comp)))
         return tuple(comps)
 
     def component_type(self, comp) -> str:
@@ -434,11 +422,7 @@ class Heap:
 
         def later(last, earlier):
             """Columns after `last` that touch it and nothing in `earlier`."""
-            mask = touch[last] & present & ~earlier & ~((2 << last) - 1)
-            while mask:
-                low = mask & -mask
-                yield low.bit_length() - 1
-                mask ^= low
+            return _bits(touch[last] & present & ~earlier & ~((2 << last) - 1))
 
         def extend(path, last, earlier):
             want = levels[path[-1]] - 1

@@ -383,6 +383,8 @@ def pair_gamma(elem: NCElement, mu) -> QPoly:
     """
     mu = tuple(mu)
     order = elem.order
+    if len(mu) != order.n:
+        raise ValueError("type vector length must equal n")
     out = QPoly()
     for w, c in elem.terms.items():
         if word_type(w, order.n) == mu:

@@ -378,7 +378,7 @@ def _in_hook_family_abc(h, l):
             break
     if q is None:
         return False
-    if h._lower[p] != (q,) or h._lower[r] != (q,):
+    if h.lower[p] != 1 << q or h.lower[r] != 1 << q:
         return False
     return not forbidden_paths_exhaustive(h)
 

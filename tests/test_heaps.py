@@ -1,6 +1,7 @@
 """Heaps, canonical words, flips and the word graph."""
 
 import itertools
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +142,12 @@ def test_from_levels():
         Heap.from_levels(P233, {1: [1], 2: [1]})  # overlapping blocks
 
 
+def test_from_levels_rejects_columns_outside_the_alphabet():
+    for a in (0, 4):
+        with pytest.raises(ValueError, match=f"column {a} outside the alphabet"):
+            Heap.from_levels(P233, {a: [1]})
+
+
 def test_block_label_round_trip():
     heap = Heap.from_word(P233, (1, 3, 1, 2, 1, 3))
     for b in range(heap.size):
@@ -158,6 +165,12 @@ def test_rank_sinks_levels():
     flat = Heap.from_word(P233, (1, 3))
     assert flat.levels == (1, 1)
     assert flat.sink_count == 2
+
+
+def test_levels_reject_a_cyclic_orientation():
+    # blocks 0 and 1 (columns 1 and 2 touch) each listed below the other
+    with pytest.raises(ValueError, match="cycle"):
+        Heap(P233, (1, 2), (0b10, 0b01)).levels
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +401,8 @@ def test_forbidden_paths_equal_the_exhaustive_search():
 
 
 def test_flipped_heaps_keep_levels_and_lower_blocks():
-    """Flips leave block ids out of topological order; levels and _lower
-    still come from the orientation and match the rebuilt diagram."""
+    """Flips leave block ids out of topological order; levels and the
+    lower masks still match the rebuilt diagram."""
     for n in range(1, 6):
         for order in UnitIntervalOrder.all_orders(n):
             for mu in ((1,) * n, (2,) + (1,) * (n - 1)):
@@ -407,8 +420,225 @@ def _assert_matches_its_diagram(h):
     where = {(rebuilt.cols[b], rebuilt.levels[b]): b for b in range(rebuilt.size)}
     for b in range(h.size):
         twin = where[h.cols[b], h.levels[b]]
-        labels = {(h.cols[u], h.levels[u]) for u in h._lower[b]}
-        assert labels == {(rebuilt.cols[u], rebuilt.levels[u]) for u in rebuilt._lower[twin]}
+        labels = {(h.cols[u], h.levels[u]) for u in _bits(h.lower[b])}
+        assert labels == {(rebuilt.cols[u], rebuilt.levels[u]) for u in _bits(rebuilt.lower[twin])}
+
+
+def _bits(mask):
+    """Set bits of a mask, lowest first."""
+    return [u for u in range(mask.bit_length()) if mask >> u & 1]
+
+
+# ---------------------------------------------------------------------------
+# reference: the orientation as a set of pairs
+
+
+class OrientedHeap:
+    """Reference for the mask Heap: the orientation as a set of
+    (lower, upper) block pairs, each statistic derived by its own walk."""
+
+    def __init__(self, order, cols, orient):
+        self.order = order
+        self.cols = tuple(cols)
+        self.orient = frozenset(orient)
+        self.size = len(self.cols)
+
+    @cached_property
+    def _lower(self):
+        lower = [[] for _ in self.cols]
+        for lo, hi in self.orient:
+            lower[hi].append(lo)
+        return tuple(tuple(sorted(v)) for v in lower)
+
+    @cached_property
+    def _upper(self):
+        upper = [[] for _ in self.cols]
+        for lo, hi in self.orient:
+            upper[lo].append(hi)
+        return tuple(tuple(sorted(v)) for v in upper)
+
+    @property
+    def masks(self):
+        """The orientation as Heap.lower masks."""
+        lower = [0] * self.size
+        for lo, hi in self.orient:
+            lower[hi] |= 1 << lo
+        return tuple(lower)
+
+    @classmethod
+    def from_word(cls, order, word):
+        orient = [
+            (i, j)
+            for j in range(len(word))
+            for i in range(j)
+            if not order.comparable(word[i], word[j])
+        ]
+        return cls(order, word, orient)
+
+    @classmethod
+    def of(cls, heap):
+        orient = [(u, b) for b in range(heap.size) for u in _bits(heap.lower[b])]
+        return cls(heap.order, heap.cols, orient)
+
+    @property
+    def levels(self):
+        memo = [0] * self.size
+
+        def rank(b):
+            if memo[b] == 0:
+                memo[b] = 1 + max((rank(u) for u in self._lower[b]), default=0)
+            return memo[b]
+
+        return tuple(rank(b) for b in range(self.size))
+
+    @property
+    def sinks(self):
+        return tuple(b for b in range(self.size) if not self._lower[b])
+
+    @cached_property
+    def _descendants(self):
+        memo = [None] * self.size
+
+        def desc(b):
+            if memo[b] is None:
+                mask = 0
+                for u in self._lower[b]:
+                    mask |= (1 << u) | desc(u)
+                memo[b] = mask
+            return memo[b]
+
+        return tuple(desc(b) for b in range(self.size))
+
+    @cached_property
+    def covers(self):
+        out = []
+        for b in range(self.size):
+            below = self._lower[b]
+            cb = []
+            for u in below:
+                others = 0
+                for v in below:
+                    if v != u:
+                        others |= (1 << v) | self._descendants[v]
+                if not (others >> u) & 1:
+                    cb.append(u)
+            out.append(tuple(cb))
+        return tuple(out)
+
+    @property
+    def covered_by(self):
+        out = [[] for _ in self.cols]
+        for b, cb in enumerate(self.covers):
+            for u in cb:
+                out[u].append(b)
+        return tuple(tuple(v) for v in out)
+
+    @property
+    def canonical_word(self):
+        pending = [len(v) for v in self._lower]
+        free = [b for b in range(self.size) if not pending[b]]
+        word = []
+        while free:
+            b = free.pop()
+            word.append(self.cols[b])
+            for v in self._upper[b]:
+                pending[v] -= 1
+                if not pending[v]:
+                    free.append(v)
+        return lex_normal_form(self.order, word)
+
+    def words(self):
+        pending = [len(v) for v in self._lower]
+        remaining = set(range(self.size))
+        word = []
+        out = []
+
+        def rec():
+            if not remaining:
+                out.append(tuple(word))
+                return
+            for b in sorted(remaining):
+                if pending[b] == 0:
+                    remaining.remove(b)
+                    for v in self._upper[b]:
+                        pending[v] -= 1
+                    word.append(self.cols[b])
+                    rec()
+                    word.pop()
+                    for v in self._upper[b]:
+                        pending[v] += 1
+                    remaining.add(b)
+
+        rec()
+        return out
+
+    @property
+    def ascents(self):
+        return sum(1 for lo, hi in self.orient if self.cols[lo] > self.cols[hi])
+
+    def _flip(self, triple):
+        p, q, r = triple
+        orient = set(self.orient)
+        for u, v in ((p, q), (q, r)):
+            if (u, v) in orient:
+                orient.remove((u, v))
+                orient.add((v, u))
+            else:
+                orient.remove((v, u))
+                orient.add((u, v))
+        return OrientedHeap(self.order, self.cols, orient)
+
+    @property
+    def components(self):
+        seen = set()
+        comps = []
+        adj = [[] for _ in self.cols]
+        for lo, hi in self.orient:
+            adj[lo].append(hi)
+            adj[hi].append(lo)
+        for b in range(self.size):
+            if b in seen:
+                continue
+            stack, comp = [b], []
+            seen.add(b)
+            while stack:
+                x = stack.pop()
+                comp.append(x)
+                for y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
+
+
+def _assert_matches_the_reference(h, ref):
+    assert h.lower == ref.masks, h
+    for name in (
+        "levels", "covers", "covered_by", "sinks", "ascents", "components", "canonical_word"
+    ):
+        assert getattr(h, name) == getattr(ref, name), (h, name)
+    if h.size <= 6:
+        assert h.words() == ref.words(), h
+    for t in h.flippable_triples():
+        assert h._flip(t).lower == ref._flip(t).masks, (h, t)
+
+
+def test_masks_equal_the_orientation_set_reference():
+    """Every heap is built from its word, then every statistic is
+    compared on every member of its flip closure, which holds each heap
+    of the type once."""
+    heaps = reordered = 0
+    for order, mu in small_heap_types():
+        for h in enumerate_heaps(order, mu):
+            assert h.lower == OrientedHeap.from_word(order, h.cols).masks, h
+        for cls in enumerate_classes(order, mu):
+            for h in cls.heaps:
+                _assert_matches_the_reference(h, OrientedHeap.of(h))
+                heaps += 1
+                reordered += list(h.levels) != sorted(h.levels)
+    # the sweep reaches flipped heaps whose ids do not run bottom-up
+    assert heaps > 20000 and reordered > 1000
 
 
 # ---------------------------------------------------------------------------

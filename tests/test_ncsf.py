@@ -242,6 +242,12 @@ def test_pairing_frozen_values():
     assert pair_gamma(nc_s(P233, (3, 1)), mu) == QPoly((0, 1, 1))
 
 
+def test_pair_gamma_rejects_wrong_type_length():
+    for mu in ((1, 1, 2, 0), (2, 2)):
+        with pytest.raises(ValueError, match="type vector length must equal n"):
+            pair_gamma(nc_h(P233, (3, 1)), mu)
+
+
 def test_pair_class():
     mu = (1, 1, 2)
     h2 = nc_h(P233, (4,))
