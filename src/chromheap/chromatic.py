@@ -35,6 +35,7 @@ from .heaps import (
 )
 from .ncsf import nc_h, nc_p, nc_s, pair_gamma
 from .partitions import (
+    check_type,
     conjugate,
     multinomial,
     multiset_permutations,
@@ -68,8 +69,7 @@ def proper_colorings(order: UnitIntervalOrder, mu, colors: int, *, gapless=False
     no slot left, so every coloring yielded is gapless.
     """
     mu = tuple(mu)
-    if len(mu) != order.n:
-        raise ValueError("type vector length must equal n")
+    check_type(mu, order.n)
     verts = [a for a in range(1, order.n + 1) if mu[a - 1] > 0]
     # slots[i]: colors still to hand out once the first i vertices have theirs
     slots = [0] * (len(verts) + 1)
@@ -192,8 +192,7 @@ def omega_chromatic_qsym(order: UnitIntervalOrder, mu) -> QSymFunc:
     type mu of q^inversions times the fundamental function of the
     descent set, computed by a dynamic program over word prefixes."""
     mu = tuple(mu)
-    if len(mu) != order.n:
-        raise ValueError("type vector length must equal n")
+    check_type(mu, order.n)
     return _omega_chromatic_qsym(order, mu)
 
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
-from .partitions import multiset_permutations, word_type, words
+from .partitions import check_type, multiset_permutations, word_type, words
 from .posets import UnitIntervalOrder
 
 
@@ -48,10 +49,13 @@ def ltr_maxima_positions(order: UnitIntervalOrder, w) -> tuple:
 
     Position 1 always qualifies (the trivial maximum).
     """
+    below = order.below
     out = []
-    for i in range(len(w)):
-        if all(order.less(w[j], w[i]) for j in range(i)):
+    seen = 0  # bit a set when letter a occurs before position i
+    for i, a in enumerate(w):
+        if not seen & ~below[a]:
             out.append(i + 1)
+        seen |= 1 << a
     return tuple(out)
 
 
@@ -150,8 +154,11 @@ class Heap:
             if not 1 <= a <= order.n:
                 raise ValueError(f"letter {a} outside the alphabet")
             below = 0
-            for c in _bits(touch[a]):
-                below |= dropped[c]
+            t = touch[a]
+            while t:
+                low = t & -t
+                below |= dropped[low.bit_length() - 1]
+                t ^= low
             lower.append(below)
             dropped[a] |= 1 << j
         return cls(order, word, lower)
@@ -205,17 +212,24 @@ class Heap:
         the first round r in which all of its lower blocks are done.
         Raises ValueError when the masks hold a cycle.
         """
+        lower = self.lower
         out = [0] * self.size
         pending = (1 << self.size) - 1
         rank = 0
         while pending:
             rank += 1
-            layer = [b for b in _bits(pending) if not self.lower[b] & pending]
+            layer = 0
+            m = pending
+            while m:
+                low = m & -m
+                b = low.bit_length() - 1
+                if not lower[b] & pending:
+                    out[b] = rank
+                    layer |= low
+                m ^= low
             if not layer:
                 raise ValueError("the orientation has a cycle")
-            for b in layer:
-                out[b] = rank
-                pending ^= 1 << b
+            pending ^= layer
         return tuple(out)
 
     def _bottom_up(self) -> list:
@@ -241,10 +255,12 @@ class Heap:
         under = [0] * self.size  # blocks strictly below each block
         out = [()] * self.size
         for b in self._bottom_up():
-            below = self.lower[b]
+            below = m = self.lower[b]
             deeper = 0
-            for u in _bits(below):
-                deeper |= under[u]
+            while m:
+                low = m & -m
+                deeper |= under[low.bit_length() - 1]
+                m ^= low
             under[b] = below | deeper
             out[b] = tuple(_bits(below & ~deeper))
         return tuple(out)
@@ -286,11 +302,16 @@ class Heap:
     def ascents(self) -> int:
         """Oriented adjacencies whose lower block sits in a larger column."""
         cols = self.cols
+        n = self.order.n
+        in_col = [0] * (n + 1)
+        for b, a in enumerate(cols):
+            in_col[a] |= 1 << b
+        greater = [0] * (n + 1)  # column a -> blocks in columns above a
+        for a in range(n - 1, 0, -1):
+            greater[a] = greater[a + 1] | in_col[a + 1]
         return sum(
-            1
+            (below & greater[cols[b]]).bit_count()
             for b, below in enumerate(self.lower)
-            for u in _bits(below)
-            if cols[u] > cols[b]
         )
 
     @cached_property
@@ -463,14 +484,17 @@ class Heap:
 
 
 def enumerate_heaps(order: UnitIntervalOrder, mu) -> tuple:
-    """All heaps of the given type, sorted by canonical word."""
+    """All heaps of the given type, sorted by canonical word.
+
+    Each heap is built from its descent-free word, so its cols are its
+    canonical word.
+    """
     return _enumerate_heaps(order, tuple(mu))
 
 
 @lru_cache(maxsize=512)
 def _enumerate_heaps(order, mu):
-    if len(mu) != order.n:
-        raise ValueError("type vector length must equal n")
+    check_type(mu, order.n)
     canonical = descent_free_words(order, sum(mu), mu)
     return tuple(Heap.from_word(order, w) for w in canonical)
 
@@ -495,18 +519,26 @@ class HeapClass:
 
 
 def flip_closure(heap: Heap) -> list:
-    """All heaps reachable from this one by local flips."""
-    seen = {heap.canonical_word: heap}
+    """All heaps reachable from this one by local flips, sorted by
+    canonical word.
+
+    Members are told apart by their lower masks. Flips keep block ids
+    and columns, and never reverse the edge between two blocks of one
+    column (the blocks of a flippable triple lie in three distinct
+    columns). So the i-th block from the bottom of column a has the same
+    id in every member, and two members are the same heap exactly when
+    their masks are equal.
+    """
+    seen = {heap.lower: heap}
     frontier = [heap]
     while frontier:
         h = frontier.pop()
         for t in h.flippable_triples():
             h2 = h._flip(t)
-            key = h2.canonical_word
-            if key not in seen:
-                seen[key] = h2
+            if h2.lower not in seen:
+                seen[h2.lower] = h2
                 frontier.append(h2)
-    return [seen[k] for k in sorted(seen)]
+    return sorted(seen.values(), key=attrgetter("canonical_word"))
 
 
 def enumerate_classes(order: UnitIntervalOrder, mu, method: str = "flips") -> list:
@@ -520,7 +552,7 @@ def enumerate_classes(order: UnitIntervalOrder, mu, method: str = "flips") -> li
         classes = []
         done = set()
         for h in enumerate_heaps(order, mu):
-            if h.canonical_word in done:
+            if h.cols in done:  # cols is the canonical word here
                 continue
             members = flip_closure(h)
             done.update(m.canonical_word for m in members)
@@ -577,6 +609,7 @@ def gamma_neighbors(order: UnitIntervalOrder, w, barred: bool = True) -> list:
 
 def gamma_components(order: UnitIntervalOrder, mu, barred: bool = True) -> list:
     """Connected components of the word graph on words of type mu."""
+    check_type(mu, order.n)
     words = set(multiset_permutations(mu))
     comps = []
     seen = set()

@@ -32,7 +32,7 @@ from .heaps import (
     inversion_count,
     lex_normal_form,
 )
-from .partitions import word_type, words
+from .partitions import check_type, word_type, words
 from .posets import UnitIntervalOrder
 from .qpoly import QPoly
 from .symfunc import dual_jacobi_trudi, m_in_basis_coords
@@ -59,7 +59,7 @@ def class_representative(order: UnitIntervalOrder, word) -> tuple:
     rep = cache.get(key)
     if rep is None:
         members = flip_closure(Heap.from_word(order, key))
-        rep = min(h.canonical_word for h in members)
+        rep = members[0].canonical_word
         for h in members:
             cache[h.canonical_word] = rep
     return rep
@@ -383,8 +383,7 @@ def pair_gamma(elem: NCElement, mu) -> QPoly:
     """
     mu = tuple(mu)
     order = elem.order
-    if len(mu) != order.n:
-        raise ValueError("type vector length must equal n")
+    check_type(mu, order.n)
     out = QPoly()
     for w, c in elem.terms.items():
         if word_type(w, order.n) == mu:

@@ -125,7 +125,7 @@ def words(room, k=None, after=None):
             yield tuple(word)
             return
         for a in candidates:
-            if room[a]:
+            if room[a] > 0:
                 room[a] -= 1
                 word.append(a)
                 yield from rec(nexts[a])
@@ -141,6 +141,14 @@ def multiset_permutations(mu):
     Letters are 1-based; zero multiplicities are allowed and skipped.
     """
     return words(mu)
+
+
+def check_type(mu, n: int) -> None:
+    """Raise ValueError unless mu is a type vector over the alphabet [n]."""
+    if len(mu) != n:
+        raise ValueError("type vector length must equal n")
+    if any(x < 0 for x in mu):
+        raise ValueError("type vector entries must be nonnegative")
 
 
 def word_type(w, n: int) -> tuple:

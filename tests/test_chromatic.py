@@ -95,6 +95,11 @@ def test_oracle_vs_words_running_example():
     assert asc_des_symmetry_check(P233, mu)
 
 
+def test_omega_route_rejects_a_negative_type():
+    with pytest.raises(ValueError, match="entries must be nonnegative"):
+        omega_chromatic_qsym(P233, (1, -1, 1))
+
+
 def test_omega_route_is_the_omega_image():
     mu = (1, 1, 2)
     assert omega_chromatic_sym(P233, mu).omega() == chromatic_sym(P233, mu)

@@ -6,6 +6,7 @@ from functools import cached_property
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chromheap.ncsf as ncsf
 from chromheap.heaps import (
     Heap,
     descent_positions,
@@ -44,6 +45,17 @@ def test_ltr_maxima():
     assert ltr_maxima_positions(P233, (1, 3, 2)) == (1, 2)
     assert not has_nontrivial_ltr_maximum(P233, (2, 1, 3))
     assert has_nontrivial_ltr_maximum(P233, (1, 3, 2))
+
+
+def test_ltr_maxima_equal_the_definition():
+    for order in UnitIntervalOrder.all_orders(4):
+        for w in itertools.product(range(1, 5), repeat=5):
+            want = tuple(
+                i + 1
+                for i in range(len(w))
+                if all(order.less(w[j], w[i]) for j in range(i))
+            )
+            assert ltr_maxima_positions(order, w) == want, (order.m, w)
 
 
 def test_descent_free():
@@ -189,6 +201,15 @@ def test_enumerate_heaps_rejects_wrong_type_length():
         enumerate_heaps(P233, (1, 1))
 
 
+@pytest.mark.parametrize("method", ["flips", "words"])
+def test_both_class_methods_reject_a_bad_type(method):
+    """Through enumerate_heaps (flips) and gamma_components (words)."""
+    with pytest.raises(ValueError, match="type vector length must equal n"):
+        enumerate_classes(P233, (1, 1), method=method)
+    with pytest.raises(ValueError, match="entries must be nonnegative"):
+        enumerate_classes(P233, (1, -1, 1), method=method)
+
+
 def test_class_methods_agree():
     cases = [(P233, (1, 1, 2)), (P233, (2, 2, 1)), (P2444, (1, 1, 1, 1))]
     for n in range(1, 5):
@@ -253,6 +274,50 @@ def test_flip_rejects_non_flippable():
     heap = Heap.from_word(P233, (1, 2, 3))
     with pytest.raises(ValueError):
         heap.flip((0, 1, 2))
+
+
+def flip_closure_by_canonical_word(heap):
+    """Reference for flip_closure: members told apart by their
+    canonical words instead of their lower masks."""
+    seen = {heap.canonical_word: heap}
+    frontier = [heap]
+    while frontier:
+        h = frontier.pop()
+        for t in h.flippable_triples():
+            h2 = h._flip(t)
+            key = h2.canonical_word
+            if key not in seen:
+                seen[key] = h2
+                frontier.append(h2)
+    return [seen[k] for k in sorted(seen)]
+
+
+def test_flip_closure_equals_the_canonical_word_reference():
+    heaps = 0
+    for order, mu in small_heap_types():
+        for h in enumerate_heaps(order, mu):
+            # enumerate_classes skips heaps by cols, relying on this
+            assert h.cols == h.canonical_word, h
+            got = [m.canonical_word for m in flip_closure(h)]
+            assert got == [m.canonical_word for m in flip_closure_by_canonical_word(h)], h
+            heaps += 1
+    assert heaps > 20000
+
+
+def test_class_representative_equals_the_reference(monkeypatch):
+    monkeypatch.setattr(ncsf, "_rep_cache", {})  # every class starts cold
+    checked = 0
+    for order, mu in small_heap_types():
+        if sum(mu) < 3:
+            continue
+        for i, w in enumerate(multiset_permutations(mu)):
+            if i % 5 or is_descent_free(order, w):
+                continue
+            members = flip_closure_by_canonical_word(Heap.from_word(order, w))
+            want = min(m.canonical_word for m in members)
+            assert ncsf.class_representative(order, w) == want, (order.m, w)
+            checked += 1
+    assert checked > 1000
 
 
 def test_flip_closure_is_symmetric():

@@ -93,6 +93,12 @@ def test_multiset_permutations():
             assert len(list(multiset_permutations(mu))) == multinomial(mu)
 
 
+def test_words_never_use_a_letter_with_negative_room():
+    assert list(words((1, -1, 1), 1)) == [(1,), (3,)]
+    assert list(words((0, -1, 2), 2)) == [(3, 3)]
+    assert list(words((-2,), 0)) == [()]
+
+
 def test_words_equal_filtered_product():
     """The pruned search against a filter of all words of length k, for
     every order with n <= 4, room vector with entries <= 2 and k <= 5:
