@@ -1,16 +1,20 @@
 """Chromatic quasisymmetric functions of unit interval orders.
 
-Two independent routes are provided. The oracle enumerates proper
+Two independent routes are provided. The oracle walks the proper
 multi-colorings with a finite color supply, only the gapless ones that
-reach a monomial coefficient, and counts them per monomial and ascent
-statistic. The word route assembles the omega image of the function as
-the sum over words w of q^inv(w) F_Des(w): a dynamic program over word
-prefixes, keyed by (used multiset, last letter), sums the q-weights per
-descent set, and a subset-sum transform (shared with the heap and class
-functions) turns the fundamental expansion into the monomial one; the
-symmetry check then guards the result. The loop over all words of the
-type, omega_chromatic_qsym_by_words, is kept as the reference the tests
-compare against. Theorem-driven coefficient formulas (pairings, rank
+reach a monomial coefficient, in one plain recursion that carries the
+color use counts and the ascent and descent counts as running ints, each
+statistic on its own formula; one walk tallies both. The word route
+assembles the omega image of the function as the sum over words w of
+q^inv(w) F_Des(w): a dynamic program over word prefixes, keyed by (used
+multiset, last letter), sums the q-weights per descent set, and a
+subset-sum transform (shared with the heap and class functions) turns
+the fundamental expansion into the monomial one; the symmetry check then
+guards the result. X itself comes from the same descent masks, each
+complemented: F_S -> F_{S^c} is omega on symmetric functions. The word
+route shares no code with the coloring walk. The loop over all words of
+the type, omega_chromatic_qsym_by_words, is kept as the reference the
+tests compare against. Theorem-driven coefficient formulas (pairings, rank
 profiles of heaps, sink counts) are always cross-checked against the
 linear-algebra route; a disagreement raises CrossCheckError. The heap
 sides of the e-checks share one cached pass over the heaps of a type.
@@ -57,52 +61,94 @@ class CrossCheckError(MathematicalError, AssertionError):
 # coloring oracle
 
 
-def proper_colorings(order: UnitIntervalOrder, mu, colors: int, *, gapless=False):
-    """All proper multi-colorings: vertex a gets mu[a-1] colors from
-    [colors], disjoint across incomparability edges.
+def _coloring_walk(order, mu, colors, gapless, leaf):
+    """Visit every proper multi-coloring of type mu with colors from
+    [colors] once, calling leaf(picked, uses, top, asc, des) at each.
+
+    The vertices of positive type are colored in increasing order, each
+    from its color sets listed once as (bitmask, (vertex, colors))
+    pairs, bit c for color c. A set is blocked when it meets the OR of
+    the masks of the earlier neighbours. At a leaf, picked lists (vertex, colors) in
+    vertex order, uses[c] counts the vertices holding color c, and top is
+    the largest color used. asc and des are running counts of the color
+    pairs across an edge that increase, resp. decrease, with the vertex
+    labels: color c at a vertex adds, per earlier neighbour with mask M,
+    the bits of M below c to asc and the bits above c to des. Each is
+    counted on its own formula, never as the complement of the other.
 
     With gapless=True only the colorings whose colors are exactly
-    {1..k} for some k are yielded. A partial coloring is dropped as soon
-    as its gaps (largest color used minus the number of distinct colors
-    used) outnumber the color slots still to fill. Each slot fills at
-    most one gap, so no dropped branch could end gapless, and a leaf has
-    no slot left, so every coloring yielded is gapless.
+    {1..k} for some k reach the leaf. A partial coloring is dropped as
+    soon as its gaps (largest color used minus the number of distinct
+    colors used) outnumber the color slots still to fill. Each slot fills
+    at most one gap, so no dropped branch could end gapless, and a leaf
+    has no slot left, so every leaf is gapless.
+    """
+    verts = [a for a in range(1, order.n + 1) if mu[a - 1] > 0]
+    k = len(verts)
+    # slots[i]: colors still to hand out once the first i vertices have theirs
+    slots = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        slots[i] = slots[i + 1] + mu[verts[i] - 1]
+    choices = [
+        [
+            (sum(1 << c for c in combo), (a, combo))
+            for combo in combinations(range(1, colors + 1), mu[a - 1])
+        ]
+        for a in verts
+    ]
+    at = {a: i for i, a in enumerate(verts)}
+    earlier = [[at[b] for b in order.neighbors(a) if b < a and b in at] for a in verts]
+    masks = [0] * k
+    picked = [None] * k
+    uses = [0] * (colors + 1)  # vertices holding each color
+
+    def rec(idx, used, asc, des):
+        if idx == k:
+            leaf(picked, uses, used.bit_length() - 1, asc, des)
+            return
+        below = [masks[j] for j in earlier[idx]]
+        blocked = 0
+        for m in below:
+            blocked |= m
+        room = slots[idx + 1]
+        for mask, entry in choices[idx]:
+            if mask & blocked:
+                continue
+            now = used | mask
+            if gapless and now.bit_length() - 1 - now.bit_count() > room:
+                continue
+            gain_asc = gain_des = 0
+            for c in entry[1]:
+                uses[c] += 1
+                for m in below:
+                    gain_asc += (m & ((1 << c) - 1)).bit_count()
+                    gain_des += (m >> (c + 1)).bit_count()
+            masks[idx] = mask
+            picked[idx] = entry
+            rec(idx + 1, now, asc + gain_asc, des + gain_des)
+            for c in entry[1]:
+                uses[c] -= 1
+
+    rec(0, 0, 0, 0)
+
+
+def proper_colorings(order: UnitIntervalOrder, mu, colors: int, *, gapless=False):
+    """All proper multi-colorings: vertex a gets mu[a-1] colors from
+    [colors], disjoint across incomparability edges. Each is a dict
+    vertex -> color tuple over the vertices of positive type.
+
+    One pass of the coloring walk collects them, in the walk's order,
+    before the first is yielded. With gapless=True only the colorings
+    whose colors are exactly {1..k} for some k are yielded; the walk
+    prunes the others exactly (see _coloring_walk).
     """
     mu = tuple(mu)
     check_type(mu, order.n)
-    verts = [a for a in range(1, order.n + 1) if mu[a - 1] > 0]
-    # slots[i]: colors still to hand out once the first i vertices have theirs
-    slots = [0] * (len(verts) + 1)
-    for i in range(len(verts) - 1, -1, -1):
-        slots[i] = slots[i + 1] + mu[verts[i] - 1]
-    palette = range(1, colors + 1)
-    chosen: dict = {}
-    uses = [0] * (colors + 1)  # vertices holding each color
-
-    def rec(idx, top, distinct):
-        if idx == len(verts):
-            yield dict(chosen)
-            return
-        a = verts[idx]
-        blocked = set()
-        for b in order.neighbors(a):
-            blocked.update(chosen.get(b, ()))
-        for combo in combinations(palette, mu[a - 1]):
-            if not blocked.isdisjoint(combo):
-                continue
-            high = max(top, combo[-1])
-            seen = distinct + sum(1 for c in combo if not uses[c])
-            if gapless and high - seen > slots[idx + 1]:
-                continue
-            for c in combo:
-                uses[c] += 1
-            chosen[a] = combo
-            yield from rec(idx + 1, high, seen)
-            for c in combo:
-                uses[c] -= 1
-        chosen.pop(a, None)
-
-    yield from rec(0, 0, 0)
+    found = []
+    _coloring_walk(
+        order, mu, colors, gapless, lambda picked, *_: found.append(dict(picked))
+    )
+    yield from found
 
 
 def coloring_ascents(order: UnitIntervalOrder, coloring) -> int:
@@ -122,7 +168,8 @@ def coloring_descents(order: UnitIntervalOrder, coloring) -> int:
     """Pairs of colors across an edge decreasing with the vertex labels.
 
     Written against the edge list directly, not as a complement of the
-    ascent count, so the symmetry check is non-circular.
+    ascent count. With coloring_ascents it is the per-coloring reference
+    for the running counts of the coloring walk.
     """
     count = 0
     for i, j in order.edges:
@@ -134,7 +181,16 @@ def coloring_descents(order: UnitIntervalOrder, coloring) -> int:
 
 
 def proper_coloring_count(order: UnitIntervalOrder, mu, colors: int) -> int:
-    return sum(1 for _ in proper_colorings(order, mu, colors))
+    mu = tuple(mu)
+    check_type(mu, order.n)
+    count = 0
+
+    def leaf(*_):
+        nonlocal count
+        count += 1
+
+    _coloring_walk(order, mu, colors, False, leaf)
+    return count
 
 
 def coloring_qsym(
@@ -145,36 +201,44 @@ def coloring_qsym(
 
     The coefficient of M_alpha counts the colorings that use color i
     exactly alpha_i times for i = 1..k, so only the gapless colorings
-    (color set {1..k}) reach a coefficient, and only those are
-    enumerated; proper_colorings prunes the others exactly.
+    (color set {1..k}) reach a coefficient, and only those are walked.
+    One walk tallies both statistics (see _coloring_tally), so the asc
+    and des functions of one instance, asked for one after the other,
+    cost one walk.
     """
     mu = tuple(mu)
+    check_type(mu, order.n)
     d = sum(mu)
     if colors is None:
         colors = d
     if colors < d:
         raise ValueError(f"need at least {d} colors to determine the function")
-    if stat == "asc":
-        statistic = coloring_ascents
-    elif stat == "des":
-        statistic = coloring_descents
-    else:
+    if stat not in ("asc", "des"):
         raise ValueError(f"unknown statistic {stat!r}")
-    counts: dict = {}  # composition -> statistic value -> colorings
-    for kappa in proper_colorings(order, mu, colors, gapless=True):
-        exp = [0] * colors
-        for cs in kappa.values():
-            for c in cs:
-                exp[c - 1] += 1
-        # gapless: the used colors are 1..k, so the nonzero entries lead
-        by_stat = counts.setdefault(tuple(x for x in exp if x), {})
-        w = statistic(order, kappa)
-        by_stat[w] = by_stat.get(w, 0) + 1
-    terms = {
-        alpha: QPoly([by_stat.get(k, 0) for k in range(max(by_stat) + 1)])
-        for alpha, by_stat in counts.items()
-    }
-    return QSymFunc(d, terms)
+    asc, des = _coloring_tally(order, mu, colors)
+    return QSymFunc(d, asc if stat == "asc" else des)
+
+
+@lru_cache(maxsize=1)
+def _coloring_tally(order, mu, colors) -> tuple:
+    """({composition: QPoly in q^ascents}, {composition: QPoly in
+    q^descents}) over the gapless proper colorings, from one walk. The
+    composition of a leaf is the use count of colors 1..top. The cache
+    holds the last instance only, which is all the asc-vs-des pairs in a
+    sweep read back."""
+    counts: dict = {}  # (composition, ascents, descents) -> colorings
+
+    def leaf(picked, uses, top, asc, des):
+        key = (tuple(uses[1 : top + 1]), asc, des)
+        counts[key] = counts.get(key, 0) + 1
+
+    _coloring_walk(order, mu, colors, True, leaf)
+    asc: Counter = Counter()  # (composition, ascents) -> colorings
+    des: Counter = Counter()
+    for (alpha, a, d), c in counts.items():
+        asc[alpha, a] += c
+        des[alpha, d] += c
+    return _polys(asc), _polys(des)
 
 
 def asc_des_symmetry_check(order: UnitIntervalOrder, mu, colors: int | None = None) -> bool:
@@ -305,8 +369,25 @@ def omega_chromatic_sym(order: UnitIntervalOrder, mu) -> SymFunc:
 
 
 def chromatic_sym(order: UnitIntervalOrder, mu) -> SymFunc:
-    """The chromatic function itself, via words and one omega involution."""
-    return omega_chromatic_sym(order, mu).omega()
+    """The chromatic function itself, from the word DP with every descent
+    mask complemented.
+
+    The linear map psi(F_S) = F_{S^c} on quasisymmetric functions
+    restricts to omega on symmetric functions, so summing
+    q^inv F_{Des^c} over the words gives X from the same masks that give
+    omega X. Complementing only permutes the masks, so the F- and
+    M-coefficients are bounded by the same word count and the width of
+    the packed slots is unchanged. The symmetry check in to_symmetric
+    still guards the result; omega_chromatic_sym(...).omega() is the
+    reference the tests compare against.
+    """
+    mu = tuple(mu)
+    check_type(mu, order.n)
+    d = sum(mu)
+    width = multinomial(mu).bit_length()
+    full = (1 << (d - 1)) - 1
+    by_mask = {mask ^ full: p for mask, p in _descent_polys(order, mu, width).items()}
+    return _fundamental_to_monomial(d, by_mask, width).to_symmetric()
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +508,7 @@ def expansion(order: UnitIntervalOrder, mu, basis: str) -> ExpansionReport:
             if lam in coeffs and (tc or hk):
                 prov[lam] = "theorem+basis-change"
     elif basis == "m":
-        for lam, c in omega_chromatic_sym(order, mu).omega().terms.items():
+        for lam, c in chromatic_sym(order, mu).terms.items():
             coeffs[lam] = c
             prov[lam] = "basis-change"
     elif basis == "h":

@@ -149,6 +149,8 @@ def check_type(mu, n: int) -> None:
         raise ValueError("type vector length must equal n")
     if any(x < 0 for x in mu):
         raise ValueError("type vector entries must be nonnegative")
+    if not any(mu):
+        raise ValueError("type vector entries must not all be zero")
 
 
 def word_type(w, n: int) -> tuple:

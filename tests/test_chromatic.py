@@ -2,12 +2,14 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from chromheap.chromatic import (
     CrossCheckError,
+    _coloring_tally,
     _e_heap_sums,
     _in_hook_family,
     asc_des_symmetry_check,
@@ -32,6 +34,8 @@ from chromheap.chromatic import (
     sink_sum,
 )
 from chromheap.heaps import descent_positions, enumerate_classes, enumerate_heaps
+from chromheap.ncsf import nc_h, pair_gamma
+from chromheap.partitions import check_type
 from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly, q_factorial
 from chromheap.symfunc import NotSymmetricError, QSymFunc
@@ -43,6 +47,69 @@ P23455 = UnitIntervalOrder((2, 3, 4, 5, 5))
 
 # ---------------------------------------------------------------------------
 # coloring oracle
+
+
+def _proper_colorings_by_generator(order, mu, colors, *, gapless=False):
+    """Reference for proper_colorings: one generator frame per vertex,
+    the chosen colors kept in a dict and copied at every leaf."""
+    mu = tuple(mu)
+    check_type(mu, order.n)
+    verts = [a for a in range(1, order.n + 1) if mu[a - 1] > 0]
+    slots = [0] * (len(verts) + 1)
+    for i in range(len(verts) - 1, -1, -1):
+        slots[i] = slots[i + 1] + mu[verts[i] - 1]
+    palette = range(1, colors + 1)
+    chosen: dict = {}
+    uses = [0] * (colors + 1)
+
+    def rec(idx, top, distinct):
+        if idx == len(verts):
+            yield dict(chosen)
+            return
+        a = verts[idx]
+        blocked = set()
+        for b in order.neighbors(a):
+            blocked.update(chosen.get(b, ()))
+        for combo in combinations(palette, mu[a - 1]):
+            if not blocked.isdisjoint(combo):
+                continue
+            high = max(top, combo[-1])
+            seen = distinct + sum(1 for c in combo if not uses[c])
+            if gapless and high - seen > slots[idx + 1]:
+                continue
+            for c in combo:
+                uses[c] += 1
+            chosen[a] = combo
+            yield from rec(idx + 1, high, seen)
+            for c in combo:
+                uses[c] -= 1
+        chosen.pop(a, None)
+
+    yield from rec(0, 0, 0)
+
+
+def _small_coloring_cases():
+    for n in range(1, 5):
+        for order in UnitIntervalOrder.all_orders(n):
+            for k in (1, 2):
+                mu = (k,) * n
+                d = sum(mu)
+                for colors in (d, d + 1):
+                    for gapless in (False, True):
+                        # without the gap prune, type 2^4 has 10.1M
+                        # colorings over these orders, too many to list
+                        if k == 2 and n == 4 and not gapless:
+                            continue
+                        yield order, mu, colors, gapless
+
+
+def test_coloring_walk_yields_what_the_generator_yields():
+    for order, mu, colors, gapless in _small_coloring_cases():
+        got = list(proper_colorings(order, mu, colors, gapless=gapless))
+        want = list(_proper_colorings_by_generator(order, mu, colors, gapless=gapless))
+        assert got == want, (order.m, mu, colors, gapless)
+        if not gapless:
+            assert proper_coloring_count(order, mu, colors) == len(want)
 
 
 def test_coloring_statistics_frozen_example():
@@ -73,6 +140,36 @@ def test_coloring_counts_chain_and_antichain():
     assert proper_coloring_count(antichain, (1, 1, 1), 3) == 6
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mu: coloring_qsym(P233, mu),
+        lambda mu: list(proper_colorings(P233, mu, 3)),
+        lambda mu: proper_coloring_count(P233, mu, 3),
+        lambda mu: chromatic_sym(P233, mu),
+        lambda mu: omega_chromatic_qsym(P233, mu),
+        lambda mu: expansion(P233, mu, "m"),
+        lambda mu: enumerate_heaps(P233, mu),
+        lambda mu: enumerate_classes(P233, mu),
+        lambda mu: pair_gamma(nc_h(P233, 1), mu),
+    ],
+    ids=[
+        "coloring_qsym",
+        "proper_colorings",
+        "proper_coloring_count",
+        "chromatic_sym",
+        "omega_chromatic_qsym",
+        "expansion",
+        "enumerate_heaps",
+        "enumerate_classes",
+        "pair_gamma",
+    ],
+)
+def test_an_all_zero_type_is_rejected(call):
+    with pytest.raises(ValueError, match="must not all be zero"):
+        call((0, 0, 0))
+
+
 def test_coloring_qsym_needs_enough_colors():
     with pytest.raises(ValueError):
         coloring_qsym(P233, (1, 1, 2), colors=3)
@@ -98,11 +195,6 @@ def test_oracle_vs_words_running_example():
 def test_omega_route_rejects_a_negative_type():
     with pytest.raises(ValueError, match="entries must be nonnegative"):
         omega_chromatic_qsym(P233, (1, -1, 1))
-
-
-def test_omega_route_is_the_omega_image():
-    mu = (1, 1, 2)
-    assert omega_chromatic_sym(P233, mu).omega() == chromatic_sym(P233, mu)
 
 
 def test_q_one_specialization_counts_colorings():
@@ -168,6 +260,16 @@ def test_word_dp_matches_word_loop_and_oracle(case):
     assert dp.to_symmetric().omega() == coloring_qsym(order, mu).to_symmetric()
 
 
+@settings(max_examples=25, deadline=None)
+@given(orders_and_types())
+def test_omega_route_is_the_omega_image(case):
+    # complementing the descent masks gives what omega gives
+    order, mu = case
+    want = omega_chromatic_sym(order, mu).omega()
+    assert chromatic_sym(order, mu) == want
+    assert expansion(order, mu, "m").coefficients == want.terms
+
+
 def _is_gapless(kappa):
     used = {c for cs in kappa.values() for c in cs}
     return used == set(range(1, len(used) + 1))
@@ -178,7 +280,7 @@ def _coloring_qsym_by_monomials(order, mu, colors, stat):
     each, keeping the exponent vectors without a gap."""
     statistic = coloring_ascents if stat == "asc" else coloring_descents
     monos = {}
-    for kappa in proper_colorings(order, mu, colors):
+    for kappa in _proper_colorings_by_generator(order, mu, colors):
         exp = [0] * colors
         for cs in kappa.values():
             for c in cs:
@@ -203,11 +305,18 @@ def test_gapless_colorings_match_the_filtered_stream(case, extra):
     order, mu = case
     colors = sum(mu) + extra
     full = list(proper_colorings(order, mu, colors))
+    assert full == list(_proper_colorings_by_generator(order, mu, colors))
     pruned = list(proper_colorings(order, mu, colors, gapless=True))
     assert pruned == [k for k in full if _is_gapless(k)]
-    for stat in ("asc", "des"):
-        want = _coloring_qsym_by_monomials(order, mu, colors, stat)
-        assert coloring_qsym(order, mu, colors, stat) == want
+    want = {
+        stat: _coloring_qsym_by_monomials(order, mu, colors, stat)
+        for stat in ("asc", "des")
+    }
+    for first, second in (("asc", "des"), ("des", "asc")):
+        _coloring_tally.cache_clear()
+        # the first call walks, the second reads the tally of that walk
+        assert coloring_qsym(order, mu, colors, first) == want[first]
+        assert coloring_qsym(order, mu, colors, second) == want[second]
 
 
 def test_gapless_colorings_edge_cases():
