@@ -22,7 +22,7 @@ sides of the e-checks share one cached pass over the heaps of a type.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -32,12 +32,16 @@ from .errors import MathematicalError
 from .heaps import (
     Heap,
     HeapClass,
+    descent_free_words,
     descent_positions,
     enumerate_classes,
     enumerate_heaps,
     inversion_count,
 )
-from .ncsf import nc_h, nc_p, nc_s, pair_gamma
+from .ncsf import enumerate_tableaux, reading_word, unique_sink_words
+
+# unused here; bound for benchmarks/child.py, which wraps them in this namespace
+from .ncsf import nc_h, nc_p, nc_s, pair_gamma  # noqa: F401
 from .partitions import (
     check_type,
     conjugate,
@@ -46,6 +50,7 @@ from .partitions import (
     partitions,
     revlex_sorted,
     subset_to_composition,
+    word_type,
     z_factor,
 )
 from .posets import UnitIntervalOrder
@@ -465,24 +470,23 @@ class ExpansionReport:
 def expansion(order: UnitIntervalOrder, mu, basis: str) -> ExpansionReport:
     """Expand the chromatic function in a basis of {f, p, s, e, m, h}.
 
-    f/p/s coefficients come from theorem pairings and are cross-checked
-    against the basis change of the word-route function. The pairing
-    reads only the type-mu component, so the generators are built with
-    bound=mu and never form classes of any other type. e coefficients
-    additionally get theorem cross-checks at two-column and hook shapes.
+    f/p/s coefficients come from theorem pairings (see _pairings) and
+    are cross-checked against the basis change of the word-route
+    function. e coefficients additionally get theorem cross-checks at
+    two-column and hook shapes.
     """
     mu = tuple(mu)
     d = sum(mu)
     coeffs: dict = {}
     prov: dict = {}
     if basis in ("f", "p", "s"):
-        # <nc_h_lam, Gamma_mu> is the m-coefficient of omega X, which is
-        # the f-coefficient of X; <nc_p_lam, Gamma_mu> is z_lam times the
-        # p-coefficient of omega X, and <nc_s_lam, Gamma_mu> its s-coefficient
-        generator = {"f": nc_h, "p": nc_p, "s": nc_s}[basis]
+        # <h_lam, Gamma_mu> is the m-coefficient of omega X, which is the
+        # f-coefficient of X; <p_lam, Gamma_mu> is z_lam times the
+        # p-coefficient of omega X, and <s_lam, Gamma_mu> its s-coefficient
         change = omega_chromatic_sym(order, mu).in_basis("m" if basis == "f" else basis)
+        pairings = _pairings(order, mu, basis)
         for lam in partitions(d):
-            theorem = pair_gamma(generator(order, lam, bound=mu), mu)
+            theorem = pairings.get(lam, QPoly())
             other = change.get(lam, QPoly())
             if basis == "p":
                 other = other * z_factor(lam)
@@ -518,6 +522,77 @@ def expansion(order: UnitIntervalOrder, mu, basis: str) -> ExpansionReport:
     else:
         raise ValueError(f"unknown basis {basis!r}")
     return ExpansionReport(order, mu, basis, d, coeffs, prov)
+
+
+def _pairings(order, mu, basis) -> dict:
+    """{lam: <g_lam, Gamma_mu>} over the partitions lam of sum(mu) with a
+    nonzero pairing, where g is the noncommutative h, p or s for basis
+    f, p or s: the sum of q^inv(w) over the words w of type mu that g_lam
+    sums, read off the words without forming a class.
+
+    Both straightening relations keep a word's type and inversion count,
+    so the pairing factors through u_w -> q^inv(w) x^type(w), which is
+    multiplicative: a word of type t after one of type `used` adds
+    cross(used, t) = sum_b t_b * #{letters a in used: b < a <= m_b}
+    inversions. For f and p the image of g_k, the descent-free
+    (resp. unique-sink) words of length k grouped as type -> {inv:
+    count}, is folded over the parts of lam with states (used type) ->
+    {inv: count} within mu. The states are memoized by prefix of lam, so
+    partitions with a common prefix share them, and the last part only
+    completes a state to mu. For s, q^inv of the reading word is summed
+    over the P-tableaux of shape lam and type mu.
+
+    It calls none of _descent_polys, _fundamental_to_monomial, _unpack,
+    to_symmetric and in_basis, so the basis change checks it from the
+    outside. The f side still sums over the words whose descents lie
+    among the breakpoints of lam, as the M_lam coefficient of the word
+    route does: a check between two pieces of code. p (unique sinks) and
+    s (P-tableaux) are checks between theorems.
+    """
+    d = sum(mu)
+    counts: Counter = Counter()  # (lam, inv) -> words
+    if basis == "s":
+        for lam in partitions(d):
+            for t in enumerate_tableaux(order, lam, mu):
+                counts[lam, inversion_count(order, reading_word(t))] += 1
+        return _polys(counts)
+    family = descent_free_words if basis == "f" else unique_sink_words
+    # the image of g_k: type -> inv -> words of length k
+    images = {k: defaultdict(Counter) for k in range(1, d + 1)}
+    for k, image in images.items():
+        for w in family(order, k, mu):
+            image[word_type(w, order.n)][inversion_count(order, w)] += 1
+
+    def fold(states, image, last):
+        # append every word of the image to every state, within mu; with
+        # last, only the words that complete a state to mu
+        out: dict = {}
+        for used, polys in states.items():
+            # gain[b-1]: letters of `used` that a later letter b passes
+            gain = [sum(used[b:top]) for b, top in enumerate(order.m, 1)]
+            room = tuple(c - u for c, u in zip(mu, used))
+            for t in (room,) if last else image:
+                tail = image.get(t)
+                if not tail or not all(x <= r for x, r in zip(t, room)):
+                    continue
+                shift = sum(x * g for x, g in zip(t, gain))
+                acc = out.setdefault(tuple(u + x for u, x in zip(used, t)), {})
+                for i, c in polys.items():
+                    for j, c2 in tail.items():
+                        acc[i + j + shift] = acc.get(i + j + shift, 0) + c * c2
+        return out
+
+    memo = {(): {(0,) * order.n: {0: 1}}}  # prefix of lam -> states
+
+    def states(prefix):
+        if prefix not in memo:
+            memo[prefix] = fold(states(prefix[:-1]), images[prefix[-1]], False)
+        return memo[prefix]
+
+    for lam in partitions(d):
+        for inv, c in fold(states(lam[:-1]), images[lam[-1]], True).get(mu, {}).items():
+            counts[lam, inv] = c
+    return _polys(counts)
 
 
 def _two_column_params(lam):

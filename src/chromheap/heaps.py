@@ -36,10 +36,13 @@ def descent_positions(order: UnitIntervalOrder, w) -> frozenset:
 
 def inversion_count(order: UnitIntervalOrder, w) -> int:
     """Pairs i < j with w_i, w_j incomparable and w_i > w_j."""
+    m = order.m
     count = 0
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if w[i] > w[j] and not order.comparable(w[i], w[j]):
+    for j, b in enumerate(w):
+        # the letters above b and incomparable to it are b+1..m_b
+        top = m[b - 1]
+        for a in w[:j]:
+            if b < a <= top:
                 count += 1
     return count
 

@@ -10,13 +10,10 @@ normal form of the word (the canonical word of its heap, computed
 without building the heap); only a normal form not seen before costs a
 heap and a flip closure.
 
-Both relations preserve the multiset of letters, so the type of a
-product is the sum of the types of its factors. An element built with a
-type bound mu keeps only classes whose type is at most mu in every
-letter: products of such elements skip every pair of terms whose types
-add up past mu, which leaves every class of type at most mu exact.
-`chromatic.expansion` pairs f/p/s generators built with bound mu, so it
-computes only the component it pairs with.
+The elements here serve the class-identity checks (commutation, the
+p/s method agreements, the height recurrence). `chromatic.expansion`
+pairs f/p/s without them: the pairing reads only a class's type and
+inversion count, which it takes from the words directly.
 """
 
 from __future__ import annotations
@@ -37,7 +34,8 @@ from .posets import UnitIntervalOrder
 from .qpoly import QPoly
 from .symfunc import dual_jacobi_trudi, m_in_basis_coords
 
-# class representatives, keyed by bound sequence then canonical heap word
+# class representatives of the last order asked for, keyed by its bound
+# sequence then by word; a new order clears the dict, so sweeps stay bounded
 _rep_cache: dict = {}
 
 
@@ -51,7 +49,10 @@ def class_representative(order: UnitIntervalOrder, word) -> tuple:
     word = tuple(word)
     if not word:
         return ()
-    cache = _rep_cache.setdefault(order.m, {})
+    cache = _rep_cache.get(order.m)
+    if cache is None:
+        _rep_cache.clear()
+        cache = _rep_cache[order.m] = {}
     rep = cache.get(word)  # a word that is a key is its own normal form
     if rep is not None:
         return rep
@@ -66,42 +67,34 @@ def class_representative(order: UnitIntervalOrder, word) -> tuple:
 
 
 class NCElement:
-    """Integer combination of congruence classes of words.
+    """Integer combination of congruence classes of words."""
 
-    With a type bound, the element is truncated to the classes whose
-    type is at most the bound in every letter (see the module
-    docstring); elements with different bounds do not mix.
-    """
+    __slots__ = ("order", "terms")
 
-    __slots__ = ("order", "terms", "bound")
-
-    def __init__(self, order: UnitIntervalOrder, terms=None, bound=None):
+    def __init__(self, order: UnitIntervalOrder, terms=None):
         self.order = order
         self.terms = {w: c for w, c in (terms or {}).items() if c}
-        self.bound = None if bound is None else tuple(bound)
 
     @classmethod
-    def from_words(cls, order: UnitIntervalOrder, words, bound=None) -> "NCElement":
+    def from_words(cls, order: UnitIntervalOrder, words) -> "NCElement":
         """Sum of u_w over an iterable of (possibly repeated) words."""
         terms: dict = {}
         for w in words:
             rep = class_representative(order, w)
             terms[rep] = terms.get(rep, 0) + 1
-        return cls(order, terms, bound)
+        return cls(order, terms)
 
     @classmethod
-    def one(cls, order: UnitIntervalOrder, bound=None) -> "NCElement":
-        return cls(order, {(): 1}, bound)
+    def one(cls, order: UnitIntervalOrder) -> "NCElement":
+        return cls(order, {(): 1})
 
     @classmethod
-    def zero(cls, order: UnitIntervalOrder, bound=None) -> "NCElement":
-        return cls(order, None, bound)
+    def zero(cls, order: UnitIntervalOrder) -> "NCElement":
+        return cls(order)
 
     def _check(self, other):
         if self.order != other.order:
             raise ValueError("mismatched ambient orders")
-        if self.bound != other.bound:
-            raise ValueError("mismatched type bounds")
 
     def __add__(self, other):
         if not isinstance(other, NCElement):
@@ -110,7 +103,7 @@ class NCElement:
         terms = dict(self.terms)
         for w, c in other.terms.items():
             terms[w] = terms.get(w, 0) + c
-        return NCElement(self.order, terms, self.bound)
+        return NCElement(self.order, terms)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -118,36 +111,16 @@ class NCElement:
     def __mul__(self, other):
         if isinstance(other, int):
             terms = {w: c * other for w, c in self.terms.items()}
-            return NCElement(self.order, terms, self.bound)
+            return NCElement(self.order, terms)
         if not isinstance(other, NCElement):
             return NotImplemented
         self._check(other)
         terms: dict = {}
-        right = other._by_type()
-        for t1, left in self._by_type().items():
-            for t2, group in right.items():
-                if not self._fits(t1, t2):
-                    continue
-                for w1, c1 in left:
-                    for w2, c2 in group:
-                        rep = class_representative(self.order, w1 + w2)
-                        terms[rep] = terms.get(rep, 0) + c1 * c2
-        return NCElement(self.order, terms, self.bound)
-
-    def _by_type(self) -> dict:
-        """Terms grouped by type, or all in one group when unbounded."""
-        if self.bound is None:
-            return {None: list(self.terms.items())}
-        groups: dict = {}
-        for w, c in self.terms.items():
-            groups.setdefault(word_type(w, self.order.n), []).append((w, c))
-        return groups
-
-    def _fits(self, t1, t2) -> bool:
-        """Whether classes of types t1 and t2 multiply within the bound."""
-        if self.bound is None:
-            return True
-        return all(x + y <= cap for x, y, cap in zip(t1, t2, self.bound))
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                rep = class_representative(self.order, w1 + w2)
+                terms[rep] = terms.get(rep, 0) + c1 * c2
+        return NCElement(self.order, terms)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -161,7 +134,6 @@ class NCElement:
         return (
             isinstance(other, NCElement)
             and self.order == other.order
-            and self.bound == other.bound
             and self.terms == other.terms
         )
 
@@ -182,19 +154,16 @@ class NCElement:
 
 # ---------------------------------------------------------------------------
 # word families
-#
-# With a type bound, a family keeps only the words that use each letter a
-# at most bound[a-1] times, pruning the search as soon as a letter runs out.
 
 
-def strictly_decreasing_words(order: UnitIntervalOrder, k: int, bound=None):
+def strictly_decreasing_words(order: UnitIntervalOrder, k: int):
     """Words w_1 > ... > w_k in the order (reversed chains)."""
-    room = (k,) * order.n if bound is None else bound
-    return words(room, k, order.below)
+    return words((k,) * order.n, k, order.below)
 
 
 def unique_sink_words(order: UnitIntervalOrder, k: int, bound=None):
-    """Descent-free words with no nontrivial left-to-right maximum."""
+    """Descent-free words with no nontrivial left-to-right maximum; with
+    a bound, letter a is used at most bound[a-1] times."""
     for w in descent_free_words(order, k, bound):
         if not has_nontrivial_ltr_maximum(order, w):
             yield w
@@ -204,51 +173,45 @@ def unique_sink_words(order: UnitIntervalOrder, k: int, bound=None):
 # generating functions
 
 
-def nc_e(order: UnitIntervalOrder, k, *, bound=None) -> NCElement:
+def nc_e(order: UnitIntervalOrder, k) -> NCElement:
     """Elementary generator e_k, or the product e_lam for a tuple."""
     if not isinstance(k, int):
-        out = NCElement.one(order, bound)
+        out = NCElement.one(order)
         for part in k:
-            out = out * nc_e(order, part, bound=bound)
+            out = out * nc_e(order, part)
         return out
     if k == 0:
-        return NCElement.one(order, bound)
-    words = strictly_decreasing_words(order, k, bound)
-    return NCElement.from_words(order, words, bound)
+        return NCElement.one(order)
+    words = strictly_decreasing_words(order, k)
+    return NCElement.from_words(order, words)
 
 
-def nc_h(
-    order: UnitIntervalOrder, k, method: str = "words", *, bound=None
-) -> NCElement:
+def nc_h(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
     """Complete homogeneous generator h_k, or the product h_lam.
 
     method='words' sums descent-free words; method='relation' unfolds
     h_k = e_1 h_{k-1} - e_2 h_{k-2} + ... recursively.
     """
     if not isinstance(k, int):
-        out = NCElement.one(order, bound)
+        out = NCElement.one(order)
         for part in k:
-            out = out * nc_h(order, part, method, bound=bound)
+            out = out * nc_h(order, part, method)
         return out
     if k == 0:
-        return NCElement.one(order, bound)
+        return NCElement.one(order)
     if method == "words":
-        words = descent_free_words(order, k, bound)
-        return NCElement.from_words(order, words, bound)
+        words = descent_free_words(order, k)
+        return NCElement.from_words(order, words)
     if method == "relation":
-        out = NCElement.zero(order, bound)
+        out = NCElement.zero(order)
         for j in range(1, k + 1):
-            term = nc_e(order, j, bound=bound) * nc_h(
-                order, k - j, "relation", bound=bound
-            )
+            term = nc_e(order, j) * nc_h(order, k - j, "relation")
             out = out + (-1) ** (j - 1) * term
         return out
     raise ValueError(f"unknown method {method!r}")
 
 
-def nc_p(
-    order: UnitIntervalOrder, k, method: str = "words", *, bound=None
-) -> NCElement:
+def nc_p(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
     """Power sum analogue p_k, or the product p_lam.
 
     method='words' sums descent-free words without nontrivial
@@ -256,27 +219,25 @@ def nc_p(
     evaluates e_1 h_{k-1} - 2 e_2 h_{k-2} + ... + (-1)^{k-1} k e_k.
     """
     if not isinstance(k, int):
-        out = NCElement.one(order, bound)
+        out = NCElement.one(order)
         for part in k:
-            out = out * nc_p(order, part, method, bound=bound)
+            out = out * nc_p(order, part, method)
         return out
     if k == 0:
-        return NCElement.one(order, bound)
+        return NCElement.one(order)
     if method == "words":
-        words = unique_sink_words(order, k, bound)
-        return NCElement.from_words(order, words, bound)
+        words = unique_sink_words(order, k)
+        return NCElement.from_words(order, words)
     if method == "relation":
-        out = NCElement.zero(order, bound)
+        out = NCElement.zero(order)
         for j in range(1, k + 1):
-            term = nc_e(order, j, bound=bound) * nc_h(order, k - j, bound=bound)
+            term = nc_e(order, j) * nc_h(order, k - j)
             out = out + ((-1) ** (j - 1) * j) * term
         return out
     raise ValueError(f"unknown method {method!r}")
 
 
-def nc_s(
-    order: UnitIntervalOrder, lam, method: str = "tableaux", *, bound=None
-) -> NCElement:
+def nc_s(order: UnitIntervalOrder, lam, method: str = "tableaux") -> NCElement:
     """Schur analogue of a partition shape.
 
     method='tableaux' sums reading words of order-compatible fillings;
@@ -289,12 +250,12 @@ def nc_s(
     ):
         raise ValueError(f"{lam} is not a partition")
     if method == "tableaux":
-        words = (reading_word(t) for t in enumerate_tableaux(order, lam, bound))
-        return NCElement.from_words(order, words, bound)
+        words = (reading_word(t) for t in enumerate_tableaux(order, lam))
+        return NCElement.from_words(order, words)
     if method == "jacobi_trudi":
-        out = NCElement.zero(order, bound)
+        out = NCElement.zero(order)
         for sign, parts in dual_jacobi_trudi(lam):
-            out = out + sign * nc_e(order, parts, bound=bound)
+            out = out + sign * nc_e(order, parts)
         return out
     raise ValueError(f"unknown method {method!r}")
 

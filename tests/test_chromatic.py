@@ -149,6 +149,9 @@ def test_coloring_counts_chain_and_antichain():
         lambda mu: chromatic_sym(P233, mu),
         lambda mu: omega_chromatic_qsym(P233, mu),
         lambda mu: expansion(P233, mu, "m"),
+        lambda mu: expansion(P233, mu, "f"),
+        lambda mu: expansion(P233, mu, "p"),
+        lambda mu: expansion(P233, mu, "s"),
         lambda mu: enumerate_heaps(P233, mu),
         lambda mu: enumerate_classes(P233, mu),
         lambda mu: pair_gamma(nc_h(P233, 1), mu),
@@ -160,6 +163,9 @@ def test_coloring_counts_chain_and_antichain():
         "chromatic_sym",
         "omega_chromatic_qsym",
         "expansion",
+        "expansion_f",
+        "expansion_p",
+        "expansion_s",
         "enumerate_heaps",
         "enumerate_classes",
         "pair_gamma",
@@ -258,6 +264,16 @@ def test_word_dp_matches_word_loop_and_oracle(case):
     dp = omega_chromatic_qsym(order, mu)
     assert dp == omega_chromatic_qsym_by_words(order, mu)
     assert dp.to_symmetric().omega() == coloring_qsym(order, mu).to_symmetric()
+
+
+@settings(max_examples=25, deadline=None)
+@given(orders_and_types())
+def test_pairing_fold_matches_the_basis_change(case):
+    # expansion raises CrossCheckError when the fold and the basis change
+    # of the word route disagree on any coefficient
+    order, mu = case
+    for basis in "fps":
+        expansion(order, mu, basis)
 
 
 @settings(max_examples=25, deadline=None)

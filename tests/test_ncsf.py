@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import chromheap.ncsf as ncsf
+from chromheap.chromatic import _pairings
 from chromheap.errors import MathematicalError
 from chromheap.heaps import is_descent_free
 from chromheap.ncsf import (
@@ -25,7 +26,7 @@ from chromheap.ncsf import (
     unique_sink_words,
 )
 from chromheap.heaps import enumerate_classes
-from chromheap.partitions import partitions, word_type
+from chromheap.partitions import partitions
 from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly
 
@@ -48,6 +49,15 @@ def test_class_representative():
     words = [(1, 1, 3, 2, 1, 3), (1, 3, 1, 2, 1, 3), (3, 1, 1, 2, 1, 3)]
     reps = {class_representative(P233, w) for w in words}
     assert len(reps) == 1
+
+
+def test_rep_cache_keeps_only_the_last_order(monkeypatch):
+    monkeypatch.setattr(ncsf, "_rep_cache", {})
+    class_representative(P233, (3, 1, 2))
+    assert list(ncsf._rep_cache) == [P233.m]
+    class_representative(P23455, (3, 1, 2))
+    assert list(ncsf._rep_cache) == [P23455.m]
+    assert ncsf._rep_cache[P23455.m]
 
 
 @pytest.mark.parametrize(
@@ -146,31 +156,17 @@ def _bounded_cases():
         yield P233, mu
 
 
-@pytest.mark.parametrize("gen", [nc_h, nc_p, nc_s])
-def test_bounded_generators_pair_like_full_ones(gen):
+@pytest.mark.parametrize(
+    "basis, gen", [("f", nc_h), ("p", nc_p), ("s", nc_s)], ids=["nc_h", "nc_p", "nc_s"]
+)
+def test_bounded_generators_pair_like_full_ones(basis, gen):
+    # the fold over words bounded by mu against the pairing of the full
+    # noncommutative product, which forms every class
     for order, mu in _bounded_cases():
+        got = _pairings(order, mu, basis)
         for lam in partitions(sum(mu)):
             want = pair_gamma(gen(order, lam), mu)
-            assert pair_gamma(gen(order, lam, bound=mu), mu) == want, (order, mu, lam)
-
-
-def test_bounded_elements_keep_only_types_within_the_bound():
-    mu = (1, 1, 2)
-    for lam in partitions(4):
-        elem = nc_h(P233, lam, bound=mu)
-        full = nc_h(P233, lam)
-        assert elem.terms == {
-            w: c
-            for w, c in full.terms.items()
-            if all(x <= cap for x, cap in zip(word_type(w, 3), mu))
-        }
-    # both methods truncate to the same element
-    assert nc_h(P233, 3, bound=mu) == nc_h(P233, 3, "relation", bound=mu)
-    assert nc_p(P233, 3, bound=mu) == nc_p(P233, 3, "relation", bound=mu)
-    for lam in partitions(3):
-        assert nc_s(P233, lam, bound=mu) == nc_s(P233, lam, "jacobi_trudi", bound=mu)
-    with pytest.raises(ValueError):
-        nc_e(P233, 1, bound=mu) * nc_e(P233, 1)
+            assert got.get(lam, QPoly()) == want, (order, mu, lam)
 
 
 def test_s_rejects_non_partition():
