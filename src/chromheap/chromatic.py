@@ -11,13 +11,18 @@ multiset, last letter), sums the q-weights per descent set, and a
 subset-sum transform (shared with the heap and class functions) turns
 the fundamental expansion into the monomial one; the symmetry check then
 guards the result. X itself comes from the same descent masks, each
-complemented: F_S -> F_{S^c} is omega on symmetric functions. The word
-route shares no code with the coloring walk. The loop over all words of
-the type, omega_chromatic_qsym_by_words, is kept as the reference the
-tests compare against. Theorem-driven coefficient formulas (pairings, rank
-profiles of heaps, sink counts) are always cross-checked against the
-linear-algebra route; a disagreement raises CrossCheckError. The heap
-sides of the e-checks share one cached pass over the heaps of a type.
+complemented: F_S -> F_{S^c} is omega on symmetric functions. That
+complement is the one way omega is taken on the quasisymmetric side:
+the e-checks read X in e directly, and the h-positivity of a class
+function is read as the e-positivity of its omega image, taken from the
+class words' complemented masks, so no route reads h-coordinates. The
+word route shares no code with the coloring walk. The loop over all
+words of the type, omega_chromatic_qsym_by_words, is kept as the
+reference the tests compare against. Theorem-driven coefficient
+formulas (pairings, rank profiles of heaps, sink counts) are always
+cross-checked against the linear-algebra route; a disagreement raises
+CrossCheckError. The heap sides of the e-checks share one cached pass
+over the heaps of a type.
 """
 
 from __future__ import annotations
@@ -262,11 +267,6 @@ def omega_chromatic_qsym(order: UnitIntervalOrder, mu) -> QSymFunc:
     descent set, computed by a dynamic program over word prefixes."""
     mu = tuple(mu)
     check_type(mu, order.n)
-    return _omega_chromatic_qsym(order, mu)
-
-
-@lru_cache(maxsize=256)
-def _omega_chromatic_qsym(order, mu):
     # every coefficient, before and after the F -> M transform, is at
     # most the word count, so slots of this width never carry
     width = multinomial(mu).bit_length()
@@ -390,9 +390,15 @@ def chromatic_sym(order: UnitIntervalOrder, mu) -> SymFunc:
     check_type(mu, order.n)
     d = sum(mu)
     width = multinomial(mu).bit_length()
-    full = (1 << (d - 1)) - 1
-    by_mask = {mask ^ full: p for mask, p in _descent_polys(order, mu, width).items()}
+    by_mask = _complemented(d, _descent_polys(order, mu, width))
     return _fundamental_to_monomial(d, by_mask, width).to_symmetric()
+
+
+def _complemented(d, by_mask) -> dict:
+    """by_mask with every descent mask complemented in [d-1]: the map
+    F_S -> F_{S^c}, which is omega on symmetric functions."""
+    full = (1 << (d - 1)) - 1
+    return {mask ^ full: c for mask, c in by_mask.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -401,26 +407,31 @@ def chromatic_sym(order: UnitIntervalOrder, mu) -> SymFunc:
 
 def heap_qsym(heap: Heap) -> QSymFunc:
     """Fundamental-basis sum over the words of one heap."""
-    return _words_qsym(heap.order, heap.size, heap.words())
+    return _fundamental_to_monomial(*_word_masks(heap.order, heap.size, heap.words()))
 
 
 def class_qsym(cls: HeapClass) -> QSymFunc:
     """Fundamental-basis sum over the words of every heap in the class."""
+    return _fundamental_to_monomial(*_class_masks(cls))
+
+
+def _class_masks(cls):
     first = cls.heaps[0]
     words = [w for h in cls.heaps for w in h.words()]
-    return _words_qsym(first.order, first.size, words)
+    return _word_masks(first.order, first.size, words)
 
 
-def _words_qsym(order, d, words) -> QSymFunc:
-    """Sum of F_Des(w) over the words: count the words per descent set,
-    then change to the monomial basis once."""
+def _word_masks(order, d, words):
+    """(d, descent mask -> words with that descent set, slot width): the
+    arguments of _fundamental_to_monomial for the sum of F_Des(w) over
+    the words, which changes to the monomial basis once."""
     counts: dict = {}
     for w in words:
         mask = 0
         for i in descent_positions(order, w):
             mask |= 1 << (i - 1)
         counts[mask] = counts.get(mask, 0) + 1
-    return _fundamental_to_monomial(d, counts, max(len(words).bit_length(), 1))
+    return d, counts, max(len(words).bit_length(), 1)
 
 
 def class_sym(cls: HeapClass) -> SymFunc:
@@ -499,7 +510,7 @@ def expansion(order: UnitIntervalOrder, mu, basis: str) -> ExpansionReport:
                 coeffs[lam] = theorem
                 prov[lam] = "theorem+basis-change"
     elif basis == "e":
-        # X in e equals omega X in h; the theorem checks read the same source
+        # X read in e; the theorem checks below read the same source
         for lam, c in _e_coefficients(order, mu).items():
             coeffs[lam] = c
             prov[lam] = "basis-change"
@@ -617,9 +628,10 @@ def _hook_params(lam):
 
 @lru_cache(maxsize=256)
 def _e_coefficients(order, mu) -> dict:
-    """The e-coordinates of the chromatic function (the h-coordinates of
-    omega X): the one source the theorem-path e-checks compare against."""
-    return omega_chromatic_sym(order, mu).in_basis("h")
+    """The e-coordinates of the chromatic function, from the basis change
+    of the word route: the one source every e-check compares against.
+    The heap sides of those checks read no basis change."""
+    return chromatic_sym(order, mu).in_basis("e")
 
 
 def _check_e(order, mu, lam, got, what):
@@ -757,7 +769,7 @@ def closed_form_two_column(order: UnitIntervalOrder, lam) -> QPoly:
     with mu = (1^n)."""
     lam = tuple(lam)
     n = order.n
-    if any(order.m[i - 1] >= i + 2 for i in range(1, n - 1)):
+    if not order.triangle_free:
         return QPoly()  # a triangle forces every heap to rank >= 3
     comps = _graph_components(order)
     n_e = sum(1 for c in comps if len(c) % 2 == 0)
@@ -797,18 +809,23 @@ def _graph_components(order: UnitIntervalOrder) -> list:
 
 def positivity_report(order: UnitIntervalOrder, mu) -> dict:
     """Report (never assert) h-positivity of each class function and
-    e-positivity of the chromatic function."""
+    e-positivity of the chromatic function.
+
+    A class function is h-positive when its omega image is e-positive,
+    and that image comes from the class words' descent masks
+    complemented, as X does in chromatic_sym."""
     mu = tuple(mu)
     classes = enumerate_classes(order, mu)
     class_reports = []
     for cls in classes:
-        hcoeffs = class_sym(cls).in_basis("h")
+        d, counts, width = _class_masks(cls)
+        omega_cls = _fundamental_to_monomial(d, _complemented(d, counts), width)
         class_reports.append(
             {
                 "representative": "".join(map(str, cls.representative)),
                 "size": len(cls),
                 "ascents": cls.ascents,
-                "h_positive": all(c.is_nonnegative() for c in hcoeffs.values()),
+                "h_positive": omega_cls.to_symmetric().is_positive_in("e"),
             }
         )
     e_report = expansion(order, mu, "e")

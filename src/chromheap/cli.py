@@ -26,7 +26,7 @@ from .chromatic import (
 from .errors import MathematicalError
 from .heaps import enumerate_classes, enumerate_heaps
 from .ncsf import hp_recurrence_check, nc_e, nc_h, nc_p, nc_s
-from .partitions import multinomial, partitions, revlex_sorted
+from .partitions import check_type, multinomial, partitions, revlex_sorted
 from .posets import UnitIntervalOrder
 from .qpoly import QPoly
 from .render import heap_svg
@@ -76,18 +76,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument(
         "--suite",
         default="all",
-        choices=[
-            "oracle",
-            "commutation",
-            "p-equiv",
-            "s-equiv",
-            "sinks",
-            "two-column",
-            "hook",
-            "hp-recurrence",
-            "positivity",
-            "all",
-        ],
+        choices=[*SUITES, "all"],
     )
     p_verify.add_argument("--colors", type=int)
     return parser
@@ -102,10 +91,10 @@ def _parse_instance(args):
             mu = tuple(int(x) for x in args.mu.split(","))
         except ValueError as exc:
             raise UsageError(f"cannot parse type vector {args.mu!r}") from exc
-        if len(mu) != order.n:
-            raise UsageError("--mu length must match the poset size")
-        if any(x < 0 for x in mu) or sum(mu) == 0:
-            raise UsageError("--mu entries must be nonnegative, not all zero")
+        try:
+            check_type(mu, order.n)
+        except ValueError as exc:
+            raise UsageError(f"--mu: {exc}") from exc
     else:
         mu = (1,) * order.n
     limit = args.max_n if args.max_n is not None else DEFAULT_SIZE_LIMIT
@@ -263,10 +252,7 @@ def _suite_two_column(order, mu, colors=None):
                 f"two-column-k{k}-l{l}",
                 lambda k=k, l=l: coeff_e_two_column(order, mu, k, l),
             )
-    triangle_free = not any(
-        order.m[i - 1] >= i + 2 for i in range(1, order.n - 1)
-    )
-    if mu == (1,) * order.n and triangle_free:
+    if mu == (1,) * order.n and order.triangle_free:
         report = expansion(order, mu, "e")
         ok = True
         for lam in partitions(d):

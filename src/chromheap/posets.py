@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .partitions import check_type
+
 
 @dataclass(frozen=True)
 class DyckPath:
@@ -146,6 +148,13 @@ class UnitIntervalOrder:
             bounces += 1
         return bounces
 
+    @cached_property
+    def triangle_free(self) -> bool:
+        """True when the incomparability graph has no triangle, i.e. it
+        is a disjoint union of paths: no m_i >= i + 2, which would make
+        i, i + 1 and i + 2 pairwise incomparable."""
+        return not any(self.m[i - 1] >= i + 2 for i in range(1, self.n - 1))
+
     def max_chain_length(self) -> int:
         """Longest chain by dynamic programming (independent of bounce)."""
         best = [1] * (self.n + 1)
@@ -176,10 +185,7 @@ class UnitIntervalOrder:
         adjacent; the result is again a natural unit interval order.
         """
         mu = tuple(int(x) for x in mu)
-        if len(mu) != self.n:
-            raise ValueError("multiplicity vector length must equal n")
-        if any(x < 0 for x in mu) or sum(mu) == 0:
-            raise ValueError("multiplicities must be nonnegative, not all zero")
+        check_type(mu, self.n)
         ends = [0]
         for x in mu:
             ends.append(ends[-1] + x)

@@ -6,8 +6,10 @@ partitions of a fixed homogeneous degree. Expansions of the elementary,
 complete homogeneous, power sum and Schur bases into monomials are
 computed by counting matrices with prescribed row structure and column
 sums. Basis changes in the other direction read one cached table of the
-coordinates of each m_lam, peeled off the triangular expansions in
-dominance order by exact back-substitution.
+coordinates of each m_lam in e, s or p, peeled off the triangular
+expansions in dominance order by exact back-substitution. The forgotten
+and h coordinates go through omega, which swaps m with f and e with h,
+so they need no table of their own.
 """
 
 from __future__ import annotations
@@ -206,20 +208,11 @@ def m_in_basis_coords(d: int, basis: str) -> dict:
     of dominance, and e, s and p are triangular against m in it. So each
     row is peeled off rows already known: e_{lam'} and s_lam are m_lam
     plus lower terms, and p_lam is prod_i m_i(lam)! m_lam plus higher
-    terms. The f rows are the expansions of f_lam = omega m_lam, and the
-    h rows the e-coordinates of f_lam.
+    terms.
     """
     parts = partitions(d)
     if basis == "m":
         return {lam: {lam: 1} for lam in parts}
-    if basis == "f":
-        return {lam: basis_to_m("f", lam) for lam in parts}
-    if basis == "h":
-        e_rows = m_in_basis_coords(d, "e")
-        return {
-            lam: _combine((c, e_rows[nu]) for nu, c in basis_to_m("f", lam).items())
-            for lam in parts
-        }
     if basis not in ("e", "s", "p"):
         raise ValueError(f"unknown basis {basis!r}")
     rows: dict = {}
@@ -316,9 +309,13 @@ class SymFunc:
 
     def in_basis(self, basis: str) -> dict:
         """Coordinates in the chosen basis, partition -> QPoly: the rows
-        of m_in_basis_coords weighted by the monomial coefficients."""
+        of m_in_basis_coords weighted by the monomial coefficients. omega
+        swaps m with f and e with h, so f and h are read off omega of the
+        function in m and e."""
         if basis == "m":
             return dict(self.terms)
+        if basis in ("f", "h"):
+            return self.omega().in_basis("m" if basis == "f" else "e")
         table = m_in_basis_coords(self.degree, basis)
         acc: dict = {}  # target -> q-coefficients, summed as exact scalars
         for lam, c in self.terms.items():

@@ -9,8 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from chromheap.chromatic import (
     CrossCheckError,
+    _class_masks,
     _coloring_tally,
+    _complemented,
     _e_heap_sums,
+    _fundamental_to_monomial,
     _in_hook_family,
     asc_des_symmetry_check,
     chromatic_sym,
@@ -359,6 +362,18 @@ def test_class_functions_symmetric_and_sum_to_omega_x():
         scaled = k.scale(QPoly.monomial(cls.ascents))
         total = scaled if total is None else total + scaled
     assert total.to_symmetric() == omega_chromatic_sym(P233, mu)
+
+
+def test_complemented_class_masks_give_omega_of_the_class():
+    # positivity_report reads h-positivity of a class as e-positivity of
+    # omega(class), taken from the class words' complemented descent masks
+    for order, mu in ((P233, (1, 1, 2)), (P23455, (1,) * 5), (P233, (2, 1, 2))):
+        report = positivity_report(order, mu)
+        for cls, row in zip(enumerate_classes(order, mu), report["classes"]):
+            d, counts, width = _class_masks(cls)
+            omega_cls = _fundamental_to_monomial(d, _complemented(d, counts), width)
+            assert omega_cls.to_symmetric() == class_sym(cls).omega()
+            assert row["h_positive"] == class_sym(cls).is_positive_in("h")
 
 
 def test_single_heap_function_need_not_be_symmetric():

@@ -13,7 +13,8 @@ import pytest
 import chromheap.chromatic as chromatic
 import chromheap.cli as cli
 import chromheap.ncsf as ncsf
-from chromheap.chromatic import CrossCheckError, expansion
+import chromheap.symfunc as symfunc
+from chromheap.chromatic import CrossCheckError, expansion, positivity_report
 from chromheap.cli import main
 from chromheap.ncsf import NonIntegralWeightError
 from chromheap.partitions import partitions
@@ -37,6 +38,10 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "expand", "--poset", "2,3,3", "--mu", "1,1")
     assert code == 1 and "length" in err
+    code, _, err = run(capsys, "expand", "--poset", "2,3,3", "--mu", "1,-1,1")
+    assert code == 1 and "nonnegative" in err
+    code, _, err = run(capsys, "expand", "--poset", "2,3,3", "--mu", "0,0,0")
+    assert code == 1 and "all be zero" in err
     code, _, err = run(capsys, "expand", "--poset", "2,3,3", "--basis", "q")
     assert code == 1
     code, _, err = run(capsys, )
@@ -54,13 +59,14 @@ def test_expand_has_no_colors_flag(capsys):
     assert code == 1 and "--colors" in err
 
 
-def _not_symmetric(order, mu):
+def _not_symmetric(d, by_mask, width):
     # M_(1,2) without M_(2,1) is quasisymmetric but not symmetric
     return QSymFunc(3, {(1, 2): 1})
 
 
 def _patch_word_route(monkeypatch, fake):
-    monkeypatch.setattr(chromatic, "omega_chromatic_qsym", fake)
+    # X and omega X both leave the word route through this transform
+    monkeypatch.setattr(chromatic, "_fundamental_to_monomial", fake)
     # the e-coefficients cached by earlier calls would bypass the patch
     chromatic._e_coefficients.cache_clear()
 
@@ -484,6 +490,51 @@ def test_expand_output_is_frozen(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_EXPAND[argv]
+
+
+# positivity_report as (representative, size, ascents) per class; every
+# class is h-positive and X is e-positive in both
+FROZEN_POSITIVITY = {
+    ("2,3,4,5,5", (1, 1, 1, 1, 1)): [
+        ("12345", 1, 0),
+        ("12354", 4, 1),
+        ("12543", 6, 2),
+        ("15432", 4, 3),
+        ("54321", 1, 4),
+    ],
+    ("2,3,3", (1, 1, 2)): [("1233", 1, 0), ("1323", 2, 1), ("1332", 2, 2), ("3321", 1, 3)],
+}
+
+
+def test_no_route_reads_an_f_or_h_table(capsys, monkeypatch):
+    """Every expansion and the positivity report give their frozen values
+    with basis_to_m refusing f and h: omega is taken by complementing
+    descent masks, never through an f or h table."""
+    real = symfunc.basis_to_m
+
+    def refuse_f_and_h(basis, lam):
+        if basis in ("f", "h"):
+            raise RuntimeError(f"basis_to_m({basis!r}, {lam}) was called")
+        return real(basis, lam)
+
+    # tables and e-coordinates cached by earlier calls would bypass the patch
+    symfunc.m_in_basis_coords.cache_clear()
+    chromatic._e_coefficients.cache_clear()
+    monkeypatch.setattr(symfunc, "basis_to_m", refuse_f_and_h)
+    for poset, mu in FROZEN_POSITIVITY:
+        for basis in "fpsemh":
+            argv = ("expand", "--poset", poset, "--basis", basis, "--format", "json")
+            if mu != (1,) * len(mu):
+                argv = argv[:3] + ("--mu", ",".join(map(str, mu))) + argv[3:]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_EXPAND[argv]
+    for (poset, mu), classes in FROZEN_POSITIVITY.items():
+        report = positivity_report(UnitIntervalOrder.from_text(poset), mu)
+        assert report["all_classes_h_positive"] and report["e_positive"]
+        got = [(c["representative"], c["size"], c["ascents"]) for c in report["classes"]]
+        assert got == classes
+        assert all(c["h_positive"] for c in report["classes"])
 
 
 def test_verify_all_suites_running_example(capsys):
