@@ -771,9 +771,16 @@ def closed_form_two_column(order: UnitIntervalOrder, lam) -> QPoly:
     n = order.n
     if not order.triangle_free:
         return QPoly()  # a triangle forces every heap to rank >= 3
-    comps = _graph_components(order)
-    n_e = sum(1 for c in comps if len(c) % 2 == 0)
-    n_o = sum(1 for c in comps if len(c) % 2 == 1)
+    # the graph joins i and i+1 exactly when m_i > i, so its components
+    # are runs of vertices, each ending at an i with m_i = i
+    sizes = []
+    start = 0
+    for i, top in enumerate(order.m, 1):
+        if top == i:
+            sizes.append(i - start)
+            start = i
+    n_e = sum(1 for s in sizes if s % 2 == 0)
+    n_o = len(sizes) - n_e
     if (n + n_o) % 2:
         return QPoly()
     target = tuple(c for c in ((n + n_o) // 2, (n - n_o) // 2) if c)
@@ -781,26 +788,6 @@ def closed_form_two_column(order: UnitIntervalOrder, lam) -> QPoly:
         return QPoly()
     power = (n - 2 * n_e - n_o) // 2
     return QPoly.monomial(power) * (QPoly((1, 1)) ** n_e)
-
-
-def _graph_components(order: UnitIntervalOrder) -> list:
-    seen = set()
-    comps = []
-    for v in range(1, order.n + 1):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            for y in order.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
 
 
 # ---------------------------------------------------------------------------

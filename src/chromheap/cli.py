@@ -51,9 +51,6 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--poset", help="bound sequence, e.g. 2,4,5,5,5")
         p.add_argument("--mu", help="type vector, e.g. 1,1,2")
-        p.add_argument(
-            "--format", choices=["json", "csv", "pretty"], default="pretty"
-        )
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument(
             "--max-n",
@@ -66,9 +63,13 @@ def build_parser() -> _Parser:
     p_expand = sub.add_parser("expand", help="basis expansion of the chromatic function")
     common(p_expand)
     p_expand.add_argument("--basis", choices=list("fpsemh"), default="e")
+    p_expand.add_argument(
+        "--format", choices=["json", "csv", "pretty"], default="pretty"
+    )
 
     p_classes = sub.add_parser("classes", help="heaps and flip-equivalence classes")
     common(p_classes)
+    p_classes.add_argument("--format", choices=["json", "pretty"], default="pretty")
     p_classes.add_argument("--svg", help="directory for per-heap SVG diagrams")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
@@ -79,6 +80,7 @@ def build_parser() -> _Parser:
         choices=[*SUITES, "all"],
     )
     p_verify.add_argument("--colors", type=int)
+    p_verify.set_defaults(format="pretty")  # names the CHROMHEAP_OUT file
     return parser
 
 
@@ -316,6 +318,8 @@ def cmd_verify(args) -> int:
         order, mu = _parse_instance(args)
         instances = [(order, mu)]
     else:
+        if args.mu is not None:
+            raise UsageError("--mu needs --poset")
         max_n = args.max_n if args.max_n is not None else 4
         instances = [
             (order, (1,) * order.n)

@@ -9,8 +9,9 @@ reading order, and the words of a heap are its linear extensions.
 
 A Heap stores its orientation as one bitmask per block, the blocks
 directly below it, and reads ranks, sinks, covers, components and words
-off these masks. A local flip reverses the two edges of a flippable
-triple and keeps the block ids.
+off these masks; covers take one step, because the touch graph on
+blocks is chordal (see Heap.covers). A local flip reverses the two edges
+of a flippable triple and keeps the block ids.
 """
 
 from __future__ import annotations
@@ -253,28 +254,32 @@ class Heap:
 
     @cached_property
     def covers(self) -> tuple:
-        """For each block, the blocks it covers in the heap order: the
-        lower blocks that lie below none of its other lower blocks."""
-        under = [0] * self.size  # blocks strictly below each block
-        out = [()] * self.size
-        for b in self._bottom_up():
-            below = m = self.lower[b]
+        """For each block, the mask of the blocks it covers in the heap
+        order: its lower blocks that are lower blocks of none of its
+        other lower blocks.
+
+        One step suffices. Suppose u lies below b through a longer
+        chain u -> x_1 -> ... -> b while u is also a lower block of b.
+        The chain and the edge u-b form a cycle in the touch graph on
+        blocks. That graph is the incomparability graph of the order
+        with each vertex blown up to a clique, and the incomparability
+        graph of a unit interval order is chordal, so the touch graph
+        is chordal too. The cycle therefore has a chord, and since the
+        orientation is acyclic each chord points up the chain and
+        shortens it. So the shortest such chain is u -> x -> b, with x
+        a lower block of b and u a lower block of x.
+        """
+        lower = self.lower
+        out = []
+        for below in lower:
             deeper = 0
+            m = below
             while m:
                 low = m & -m
-                deeper |= under[low.bit_length() - 1]
+                deeper |= lower[low.bit_length() - 1]
                 m ^= low
-            under[b] = below | deeper
-            out[b] = tuple(_bits(below & ~deeper))
+            out.append(below & ~deeper)
         return tuple(out)
-
-    @cached_property
-    def covered_by(self) -> tuple:
-        out = [[] for _ in self.cols]
-        for b in range(self.size):
-            for u in self.covers[b]:
-                out[u].append(b)
-        return tuple(tuple(v) for v in out)
 
     @cached_property
     def canonical_word(self) -> tuple:
@@ -339,19 +344,29 @@ class Heap:
 
     def flippable_triples(self) -> list:
         """Triples (p, q, r) with q covering both p and r, or covered by
-        both, normalized so that the column of p is smaller."""
+        both, normalized so that the column of p is smaller.
+
+        The blocks covering q, like the blocks q covers, form an
+        antichain of the heap order, and blocks whose columns touch are
+        comparable. So p and r sit in distinct comparable columns, and
+        every pair of one group gives a triple.
+        """
+        cols = self.cols
+        covers = self.covers
+        above = [0] * self.size  # blocks covering each block
+        for b, below in enumerate(covers):
+            for u in _bits(below):
+                above[u] |= 1 << b
         out = []
         for q in range(self.size):
-            for group in (self.covers[q], self.covered_by[q]):
-                for x in range(len(group)):
-                    for y in range(x + 1, len(group)):
-                        p, r = group[x], group[y]
-                        if self.order.adjacent(self.cols[p], self.cols[r]):
-                            continue
-                        if self.cols[p] > self.cols[r]:
-                            p, r = r, p
-                        out.append((p, q, r))
-        out.sort(key=lambda t: (self.cols[t[0]], self.cols[t[1]], self.cols[t[2]], t))
+            for group in (covers[q], above[q]):
+                if not group & group - 1:
+                    continue  # fewer than two blocks
+                for p in _bits(group):
+                    for r in _bits(group):
+                        if cols[p] < cols[r]:
+                            out.append((p, q, r))
+        out.sort(key=lambda t: (cols[t[0]], cols[t[1]], cols[t[2]], t))
         return out
 
     def flip(self, triple) -> "Heap":
@@ -464,7 +479,7 @@ class Heap:
                 continue
             for a2 in later(a1, 0):
                 for q in by_col[a2].values():
-                    if p in self.covers[q]:
+                    if self.covers[q] >> p & 1:
                         extend([p, q], a2, touch[a1])
         return out
 

@@ -189,8 +189,8 @@ def nc_e(order: UnitIntervalOrder, k) -> NCElement:
 def nc_h(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
     """Complete homogeneous generator h_k, or the product h_lam.
 
-    method='words' sums descent-free words; method='relation' unfolds
-    h_k = e_1 h_{k-1} - e_2 h_{k-2} + ... recursively.
+    method='words' sums descent-free words; method='relation' builds
+    h_0, ..., h_k in turn from h_i = e_1 h_{i-1} - e_2 h_{i-2} + ...
     """
     if not isinstance(k, int):
         out = NCElement.one(order)
@@ -203,11 +203,14 @@ def nc_h(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
         words = descent_free_words(order, k)
         return NCElement.from_words(order, words)
     if method == "relation":
-        out = NCElement.zero(order)
-        for j in range(1, k + 1):
-            term = nc_e(order, j) * nc_h(order, k - j, "relation")
-            out = out + (-1) ** (j - 1) * term
-        return out
+        es = [nc_e(order, j) for j in range(k + 1)]
+        hs = [es[0]]  # h_0 = e_0 = 1
+        for i in range(1, k + 1):
+            out = NCElement.zero(order)
+            for j in range(1, i + 1):
+                out = out + (-1) ** (j - 1) * (es[j] * hs[i - j])
+            hs.append(out)
+        return hs[k]
     raise ValueError(f"unknown method {method!r}")
 
 

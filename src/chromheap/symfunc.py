@@ -9,7 +9,8 @@ sums. Basis changes in the other direction read one cached table of the
 coordinates of each m_lam in e, s or p, peeled off the triangular
 expansions in dominance order by exact back-substitution. The forgotten
 and h coordinates go through omega, which swaps m with f and e with h,
-so they need no table of their own.
+so they need no table of their own; omega itself reads the Schur table,
+since omega s_lam = s_lam'.
 """
 
 from __future__ import annotations
@@ -229,6 +230,27 @@ def m_in_basis_coords(d: int, basis: str) -> dict:
     return {lam: rows[lam] for lam in parts}
 
 
+def _weighted_rows(coords, row) -> dict:
+    """Sum of c * row(lam) over the coordinates lam -> c, where c is a
+    QPoly and row(lam) a sparse row of exact scalars: partition -> QPoly
+    in decreasing order, zeros dropped."""
+    acc: dict = {}  # target -> q-coefficients, summed as exact scalars
+    for lam, c in coords.items():
+        coeffs = c.coeffs
+        for mu, x in row(lam).items():
+            acc_row = acc.setdefault(mu, [])
+            if len(acc_row) < len(coeffs):
+                acc_row.extend([0] * (len(coeffs) - len(acc_row)))
+            for k, v in enumerate(coeffs):
+                acc_row[k] += x * v
+    out = {}
+    for mu in revlex_sorted(acc):
+        c = QPoly(acc[mu])
+        if c:
+            out[mu] = c
+    return out
+
+
 def monomial_ones(lam, N: int) -> int:
     """Value of m_lam with N variables all set to 1."""
     ell = len(lam)
@@ -317,25 +339,15 @@ class SymFunc:
         if basis in ("f", "h"):
             return self.omega().in_basis("m" if basis == "f" else "e")
         table = m_in_basis_coords(self.degree, basis)
-        acc: dict = {}  # target -> q-coefficients, summed as exact scalars
-        for lam, c in self.terms.items():
-            coeffs = c.coeffs
-            for mu, x in table[lam].items():
-                row = acc.setdefault(mu, [])
-                if len(row) < len(coeffs):
-                    row.extend([0] * (len(coeffs) - len(row)))
-                for k, v in enumerate(coeffs):
-                    row[k] += x * v
-        out = {}
-        for mu in revlex_sorted(acc):
-            c = QPoly(acc[mu])
-            if c:
-                out[mu] = c
-        return out
+        return _weighted_rows(self.terms, table.__getitem__)
 
     def omega(self) -> "SymFunc":
-        """The involution exchanging elementary and complete bases."""
-        return SymFunc.from_coords("h", self.degree, self.in_basis("e"))
+        """The involution exchanging elementary and complete bases, read
+        through the Schur basis: omega s_lam = s_lam'."""
+        rows = _weighted_rows(
+            self.in_basis("s"), lambda lam: basis_to_m("s", conjugate(lam))
+        )
+        return SymFunc(self.degree, rows)
 
     def is_positive_in(self, basis: str) -> bool:
         return all(c.is_nonnegative() for c in self.in_basis(basis).values())

@@ -44,6 +44,13 @@ def test_usage_errors(capsys):
     assert code == 1 and "all be zero" in err
     code, _, err = run(capsys, "expand", "--poset", "2,3,3", "--basis", "q")
     assert code == 1
+    # input that would otherwise be ignored
+    code, _, err = run(capsys, "verify", "--max-n", "2", "--format", "json")
+    assert code == 1 and "--format" in err
+    code, _, err = run(capsys, "classes", "--poset", "2,3,3", "--format", "csv")
+    assert code == 1 and "csv" in err
+    code, _, err = run(capsys, "verify", "--max-n", "2", "--mu", "1,1")
+    assert code == 1 and "--mu needs --poset" in err
     code, _, err = run(capsys, )
     assert code == 1 and "command" in err
 
@@ -291,6 +298,9 @@ def test_env_output_dir(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "expand", "--poset", "2,3,3", "--format", "json")
     assert code == 0 and out == ""
     assert (tmp_path / "outdir" / "expand.json").exists()
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "2")
+    assert code == 0 and out == ""
+    assert (tmp_path / "outdir" / "verify.pretty").exists()
 
 
 def test_verify_single_poset(capsys):

@@ -21,6 +21,8 @@ from chromheap.partitions import (
     words,
     z_factor,
 )
+from chromheap import symfunc
+from chromheap.chromatic import chromatic_sym
 from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly
 from chromheap.symfunc import (
@@ -266,6 +268,26 @@ def test_omega_laws():
         for lam in partitions(d):
             s = SymFunc.basis_element("s", lam)
             assert s.omega() == SymFunc.basis_element("s", conjugate(lam))
+
+
+def test_omega_reads_no_h_table(monkeypatch):
+    """omega, and the f and h coordinates read off it, give their
+    unpatched values with basis_to_m refusing h: omega goes through
+    the Schur table, never through an h table."""
+    X = chromatic_sym(UnitIntervalOrder.from_text("2,3,4,5,5"), (1,) * 5)
+    want = (X.omega(), X.in_basis("f"), X.in_basis("h"))
+
+    def refuse_h(basis, lam):
+        if basis == "h":
+            raise RuntimeError(f"basis_to_m('h', {lam}) was called")
+        return real(basis, lam)
+
+    real = symfunc.basis_to_m
+    # tables cached by the calls above would bypass the patch
+    real.cache_clear()
+    symfunc.m_in_basis_coords.cache_clear()
+    monkeypatch.setattr(symfunc, "basis_to_m", refuse_h)
+    assert (X.omega(), X.in_basis("f"), X.in_basis("h")) == want
 
 
 def test_schur_coordinates_exact():
