@@ -91,8 +91,11 @@ def _coloring_walk(order, mu, colors, gapless, leaf):
     soon as its gaps (largest color used minus the number of distinct
     colors used) outnumber the color slots still to fill. Each slot fills
     at most one gap, so no dropped branch could end gapless, and a leaf
-    has no slot left, so every leaf is gapless.
+    has no slot left, so every leaf is gapless. A gapless coloring uses
+    at most sum(mu) colors, so the walk offers no more than that.
     """
+    if gapless:
+        colors = min(colors, sum(mu))
     verts = [a for a in range(1, order.n + 1) if mu[a - 1] > 0]
     k = len(verts)
     # slots[i]: colors still to hand out once the first i vertices have theirs
@@ -626,11 +629,13 @@ def _hook_params(lam):
 # theorem-path e-coefficients
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _e_coefficients(order, mu) -> dict:
     """The e-coordinates of the chromatic function, from the basis change
     of the word route: the one source every e-check compares against.
-    The heap sides of those checks read no basis change."""
+    The heap sides of those checks read no basis change. Like every
+    per-instance cache here it holds the last instance only: a sweep
+    asks for one instance at a time."""
     return chromatic_sym(order, mu).in_basis("e")
 
 
@@ -657,7 +662,7 @@ class _EHeapSums(NamedTuple):
     hooks: dict  # l -> heaps in the hook family for l (l + 1 sinks)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _e_heap_sums(order, mu) -> _EHeapSums:
     """One pass over the heaps of type mu for every theorem-side e check.
     It reads the heaps alone, never the basis change."""
@@ -771,14 +776,7 @@ def closed_form_two_column(order: UnitIntervalOrder, lam) -> QPoly:
     n = order.n
     if not order.triangle_free:
         return QPoly()  # a triangle forces every heap to rank >= 3
-    # the graph joins i and i+1 exactly when m_i > i, so its components
-    # are runs of vertices, each ending at an i with m_i = i
-    sizes = []
-    start = 0
-    for i, top in enumerate(order.m, 1):
-        if top == i:
-            sizes.append(i - start)
-            start = i
+    sizes = [len(r) for r in order.runs(range(1, n + 1))]
     n_e = sum(1 for s in sizes if s % 2 == 0)
     n_o = len(sizes) - n_e
     if (n + n_o) % 2:

@@ -8,10 +8,12 @@ mu correspond to heaps by dropping blocks onto the interval model in
 reading order, and the words of a heap are its linear extensions.
 
 A Heap stores its orientation as one bitmask per block, the blocks
-directly below it, and reads ranks, sinks, covers, components and words
-off these masks; covers take one step, because the touch graph on
-blocks is chordal (see Heap.covers). A local flip reverses the two edges
-of a flippable triple and keeps the block ids.
+directly below it, and reads ranks, sinks, covers, block labels and
+words off these masks; covers take one step, because the touch graph on
+blocks is chordal (see Heap.covers); components depend on the columns
+alone. A heap is built by dropping a word (from_word, through which
+from_levels drops a diagram level by level), and a local flip reverses
+the two edges of a flippable triple and keeps the block ids.
 """
 
 from __future__ import annotations
@@ -171,32 +173,20 @@ class Heap:
     def from_levels(cls, order: UnitIntervalOrder, levels) -> "Heap":
         """Build from a diagram given as {column: iterable of levels}.
 
-        Raises ValueError for a column outside 1..n, for touching blocks
-        on one level, and when the diagram is not gravity-stable, i.e.
-        when the recomputed levels disagree with the given ones.
+        The blocks are dropped with from_word, level by level and by
+        column within a level. Each lands one level above the highest
+        touching block dropped before it, so it lands on its given level
+        exactly when the diagram is gravity-stable: it rests on a
+        touching block one level down, and no touching block shares its
+        level. Raises ValueError for a column outside 1..n, and when the
+        diagram is empty or not gravity-stable.
         """
         for a in levels:
             if not 1 <= a <= order.n:
                 raise ValueError(f"column {a} outside the alphabet")
-        blocks = []
-        for a in sorted(levels):
-            for lv in sorted(levels[a]):
-                blocks.append((a, lv))
-        cols = tuple(a for a, _ in blocks)
-        lvls = tuple(lv for _, lv in blocks)
-        touch = order.touch
-        lower = [0] * len(blocks)
-        for j in range(len(blocks)):
-            for i in range(j):
-                if touch[cols[i]] >> cols[j] & 1:
-                    if lvls[i] == lvls[j]:
-                        raise ValueError("adjacent blocks share a level")
-                    if lvls[i] < lvls[j]:
-                        lower[j] |= 1 << i
-                    else:
-                        lower[i] |= 1 << j
-        heap = cls(order, cols, lower)
-        if heap.levels != lvls:
+        blocks = sorted((lv, a) for a in levels for lv in levels[a])
+        heap = cls.from_word(order, [a for _, a in blocks])
+        if heap.levels != tuple(lv for lv, _ in blocks):
             raise ValueError("diagram is not gravity-stable")
         return heap
 
@@ -235,10 +225,6 @@ class Heap:
                 raise ValueError("the orientation has a cycle")
             pending ^= layer
         return tuple(out)
-
-    def _bottom_up(self) -> list:
-        """Block ids by rank, lowest first: a linear extension."""
-        return sorted(range(self.size), key=self.levels.__getitem__)
 
     @cached_property
     def rank(self) -> int:
@@ -285,7 +271,8 @@ class Heap:
     def canonical_word(self) -> tuple:
         """The unique descent-free word of the heap: the normal form of
         any of its words, here the one read off rank by rank."""
-        return lex_normal_form(self.order, [self.cols[b] for b in self._bottom_up()])
+        by_rank = sorted(range(self.size), key=self.levels.__getitem__)
+        return lex_normal_form(self.order, [self.cols[b] for b in by_rank])
 
     def words(self) -> list:
         """All words of the heap (column readings of linear extensions)."""
@@ -322,25 +309,18 @@ class Heap:
             for b, below in enumerate(self.lower)
         )
 
-    @cached_property
-    def _columns(self) -> dict:
-        """Column -> its block ids from the bottom up."""
-        out: dict = {}
-        for b in self._bottom_up():
-            out.setdefault(self.cols[b], []).append(b)
-        return out
-
     def block(self, a: int, i: int) -> int:
         """Id of the i-th lowest block (1-based) in column a."""
-        col = self._columns.get(a, ())
-        if not 1 <= i <= len(col):
-            raise ValueError(f"column {a} has no block {i}")
-        return col[i - 1]
+        for b in range(self.size):
+            if self.block_label(b) == (a, i):
+                return b
+        raise ValueError(f"column {a} has no block {i}")
 
     def block_label(self, b: int) -> tuple:
-        """(column, position from the bottom) of a block id."""
+        """(column, position from the bottom) of a block id. The blocks
+        of one column touch, so each one below b is a lower block of b."""
         a = self.cols[b]
-        return (a, self._columns[a].index(b) + 1)
+        return (a, 1 + sum(self.cols[u] == a for u in _bits(self.lower[b])))
 
     def flippable_triples(self) -> list:
         """Triples (p, q, r) with q covering both p and r, or covered by
@@ -390,24 +370,16 @@ class Heap:
 
     @cached_property
     def components(self) -> tuple:
-        """Connected components of the adjacency graph on blocks."""
-        adjacent = list(self.lower)
-        for b, below in enumerate(self.lower):
-            for u in _bits(below):
-                adjacent[u] |= 1 << b
-        comps = []
-        left = (1 << self.size) - 1
-        while left:
-            comp = grow = left & -left
-            while grow:
-                reach = 0
-                for x in _bits(grow):
-                    reach |= adjacent[x]
-                grow = reach & ~comp
-                comp |= grow
-            left ^= comp
-            comps.append(tuple(_bits(comp)))
-        return tuple(comps)
+        """Connected components of the adjacency graph on blocks, each
+        as sorted block ids, ordered by least block. Blocks are adjacent
+        exactly when their columns touch, whatever the orientation, so
+        a component holds the blocks of one run of columns
+        (UnitIntervalOrder.runs), and flips never change it."""
+        run_of = {a: run for run in self.order.runs(self.cols) for a in run}
+        groups: dict = {}  # run -> its blocks, in order of least block
+        for b, a in enumerate(self.cols):
+            groups.setdefault(run_of[a], []).append(b)
+        return tuple(map(tuple, groups.values()))
 
     def component_type(self, comp) -> str:
         """Classify a rank <= 2 connected component as S, N, M or W."""
@@ -510,7 +482,7 @@ def enumerate_heaps(order: UnitIntervalOrder, mu) -> tuple:
     return _enumerate_heaps(order, tuple(mu))
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def _enumerate_heaps(order, mu):
     check_type(mu, order.n)
     canonical = descent_free_words(order, sum(mu), mu)

@@ -127,6 +127,23 @@ class UnitIntervalOrder:
             for j in range(i + 1, self.m[i - 1] + 1)
         )
 
+    def runs(self, vertices) -> tuple:
+        """Components of the incomparability graph on the given vertices,
+        each as an increasing tuple, in increasing order.
+
+        They are runs of the vertices in increasing order. Take present
+        vertices a < a' with none present in between. When a' <= m_a
+        they are adjacent. Otherwise no edge crosses the gap: bounds
+        increase, so each present b <= a has m_b <= m_a < a'.
+        """
+        out = []
+        for a in sorted(set(vertices)):
+            if out and a <= self.m[out[-1][-1] - 1]:
+                out[-1].append(a)
+            else:
+                out.append([a])
+        return tuple(map(tuple, out))
+
     def neighbors(self, a: int) -> tuple:
         return self._neighbors[a - 1]
 

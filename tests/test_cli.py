@@ -1,6 +1,8 @@
 """Command-line interface behavior and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import chromheap.chromatic as chromatic
 import chromheap.cli as cli
+import chromheap.heaps as heaps
 import chromheap.ncsf as ncsf
 import chromheap.symfunc as symfunc
 from chromheap.chromatic import CrossCheckError, expansion, positivity_report
@@ -384,6 +388,56 @@ def test_verify_output_is_frozen(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_VERIFY[argv]
 
 
+def test_a_huge_color_supply_gives_the_default_output(capsys):
+    """A gapless coloring uses at most sum(mu) colors, so any larger
+    supply walks the same colorings."""
+    argv = ("verify", "--suite", "oracle", "--poset", "2,3,3", "--mu", "3,2,2")
+    code, out, err = run(capsys, *argv, "--colors", str(10**20))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_VERIFY[argv]
+
+
+def test_per_instance_caches_hold_one_instance(capsys):
+    caches = (heaps._enumerate_heaps, chromatic._e_coefficients, chromatic._e_heap_sums)
+    for cache in caches:
+        cache.cache_clear()
+    assert run(capsys, "verify", "--suite", "two-column", "--max-n", "4")[0] == 0
+    for cache in caches:
+        assert cache.cache_info().currsize == 1, cache
+
+
+@st.composite
+def cheap_argv(draw):
+    """expand, classes or verify on one order with n <= 3 and mu entries
+    <= 2, with --colors and --max-n drawn from edge values."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.sampled_from(list(UnitIntervalOrder.all_orders(n))))
+    argv = [draw(st.sampled_from(["expand", "classes", "verify"])), "--poset", order.text()]
+    mu = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    if mu is not None:
+        argv += ["--mu", ",".join(map(str, mu))]
+    if argv[0] == "expand":
+        argv += ["--basis", draw(st.sampled_from("fpsemh"))]
+    elif argv[0] == "verify":
+        argv += ["--suite", draw(st.sampled_from([*cli.SUITES, "all"]))]
+    d = n if mu is None else sum(mu)
+    colors = draw(st.sampled_from([None, -1, 0, d, 10**20]))
+    if colors is not None:
+        argv += ["--colors", str(colors)]
+    max_n = draw(st.sampled_from([None, 0, 1, 5]))
+    if max_n is not None:
+        argv += ["--max-n", str(max_n)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cheap_argv())
+@example(["verify", "--suite", "oracle", "--poset", "2,3,3", "--colors", str(10**20)])
+def test_cli_never_raises(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2), argv
+
+
 # SHA-256 of stdout of expand in every basis and format, and of classes,
 # taken before the word searches and the Jacobi-Trudi loops were unified
 FROZEN_EXPAND = {
@@ -492,6 +546,14 @@ FROZEN_EXPAND = {
         "119d271ccf6beafa88d8b889c131808aad0a6a31f1f45e84d5a368154f7f681c",
     ("classes", "--poset", "2,3,4,5,5", "--format", "pretty"):
         "89ce77d988a085a74eabb156a5614150b146bf488051d29d5389465dfd4f9c87",
+    # classes instances of benchmarks/golden.json, taken before heap
+    # components were read as column runs and block labels off the masks
+    ("classes", "--format", "json", "--poset", "2,3,3", "--mu", "3,2,2"):
+        "c0314aa7aa6add4d5791de32beb0f7740a963733161f6829f79976d74c309a28",
+    ("classes", "--format", "json", "--poset", "2,4,5,6,7,7,7", "--mu", "2,1,1,1,1,1,2"):
+        "b491da58f387473db94ad3e1419a374b84fa9361511f8c163da28dc3f11ed46e",
+    ("classes", "--format", "json", "--poset", "3,4,5,6,7,8,9,9,9"):
+        "5fe7d80e535981590934dff1c8bd834693d208a8b3a4314bfb072983bfde03da",
 }
 
 

@@ -152,6 +152,10 @@ def test_from_levels():
         Heap.from_levels(P233, {1: [2]})  # floating block
     with pytest.raises(ValueError):
         Heap.from_levels(P233, {1: [1], 2: [1]})  # overlapping blocks
+    with pytest.raises(ValueError):
+        Heap.from_levels(P233, {1: [1, 1]})  # two blocks in one cell
+    with pytest.raises(ValueError):
+        Heap.from_levels(P233, {})  # no block, like the empty word
 
 
 def test_from_levels_rejects_columns_outside_the_alphabet():
@@ -699,6 +703,13 @@ def _assert_matches_the_reference(h, ref):
     for name in ("levels", "sinks", "ascents", "components", "canonical_word"):
         assert getattr(h, name) == getattr(ref, name), (h, name)
     assert h.covers == tuple(sum(1 << u for u in c) for c in ref.covers), h
+    levels = ref.levels
+    for b, a in enumerate(h.cols):
+        # blocks of one column touch, so their ranks order them
+        column = sorted((u for u, c in enumerate(h.cols) if c == a), key=levels.__getitem__)
+        i = column.index(b) + 1
+        assert h.block_label(b) == (a, i), (h, b)
+        assert h.block(a, i) == b, (h, b)
     if h.size <= 6:
         assert h.words() == ref.words(), h
     for t in h.flippable_triples():

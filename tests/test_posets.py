@@ -38,6 +38,28 @@ def test_relations_running_example():
     assert order.neighbors(2) == (1, 3)
 
 
+def test_runs_equal_a_search_over_neighbors():
+    """On every vertex subset of every order with n <= 6, the runs are
+    the components that a search over neighbors finds."""
+    for n in range(1, 7):
+        for order in UnitIntervalOrder.all_orders(n):
+            for size in range(n + 1):
+                for subset in combinations(range(1, n + 1), size):
+                    left = set(subset)
+                    comps = []
+                    while left:
+                        comp = set()
+                        stack = [min(left)]
+                        while stack:
+                            a = stack.pop()
+                            if a in left:
+                                left.remove(a)
+                                comp.add(a)
+                                stack.extend(order.neighbors(a))
+                        comps.append(tuple(sorted(comp)))
+                    assert order.runs(subset) == tuple(comps), (order, subset)
+
+
 def test_dyck_path_validation():
     with pytest.raises(ValueError):
         DyckPath(("E", "N"))
