@@ -21,8 +21,9 @@ words of the type, omega_chromatic_qsym_by_words, is kept as the
 reference the tests compare against. Theorem-driven coefficient
 formulas (pairings, rank profiles of heaps, sink counts) are always
 cross-checked against the linear-algebra route; a disagreement raises
-CrossCheckError. The heap sides of the e-checks share one cached pass
-over the heaps of a type.
+CrossCheckError. The heap sides of the e-checks share one cached walk
+over the canonical words of a type, which reads the statistics of each
+heap as its blocks drop.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ from .heaps import (
     descent_free_words,
     descent_positions,
     enumerate_classes,
-    enumerate_heaps,
     inversion_count,
 )
 from .ncsf import enumerate_tableaux, reading_word, unique_sink_words
 
 # unused here; bound for benchmarks/child.py, which wraps them in this namespace
+from .heaps import enumerate_heaps  # noqa: F401
 from .ncsf import nc_h, nc_p, nc_s, pair_gamma  # noqa: F401
 from .partitions import (
     check_type,
@@ -664,20 +665,95 @@ class _EHeapSums(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _e_heap_sums(order, mu) -> _EHeapSums:
-    """One pass over the heaps of type mu for every theorem-side e check.
-    It reads the heaps alone, never the basis change."""
+    """One walk over the descent-free words of type mu, the canonical
+    words of its heaps, for every theorem-side e check. It reads the
+    heaps alone, never the basis change.
+
+    Each block is read as it drops, as in Heap.from_word: its lower
+    blocks are the earlier blocks of the columns touching its own. So
+    its rank is one more than the highest top rank among those columns
+    (a sink when that is 0), it adds one ascent per such block in a
+    larger column, and at rank 2 its lower mask is the OR of those
+    columns' masks, with drop positions as block ids. A Heap is built
+    only for the W-component test of a rank <= 2 heap, and for test (C)
+    of a hook candidate whose two rank-2 blocks pass (A) and (B), that
+    is, have equal lower masks (see coeff_e_hook).
+
+    The walk enters a letter a only when the letters left can follow it
+    in a descent-free word, that is, when the lowest run of their
+    columns (UnitIntervalOrder.runs) reaches a column not below a. If
+    it does not, that run is a component of every heap of the letters
+    left, so the least sink, where a canonical word starts, lies below
+    a. If it does, dropping the letters not below a first and then the
+    others run by run puts every sink in a column not below a.
+    """
+    check_type(mu, order.n)
+    d, n = sum(mu), order.n
+    cols = range(1, n + 1)
+    below = order.below
+    touching = [tuple(c for c in cols if t >> c & 1) for t in order.touch]
+    larger = [tuple(c for c in t if c > a) for a, t in enumerate(touching)]
+    follow = [tuple(b for b in cols if not below[a] >> b & 1) for a in range(n + 1)]
+    room = [0, *mu]
+    top = [0] * (n + 1)  # column -> rank of its top block
+    blocks = [0] * (n + 1)  # column -> mask of its blocks
+    height = [0] * (n + 1)  # column -> number of its blocks
+    run_top: dict = {}  # mask of the columns left -> top of their lowest run
+    word: list = []
+    rank2: list = []  # lower masks of the rank-2 blocks
     sinks: Counter = Counter()  # (bucket, ascents) -> heaps
     two_column: Counter = Counter()
     hooks: Counter = Counter()
-    for h in enumerate_heaps(order, mu):
-        asc = h.ascents
-        k = h.sink_count
+
+    def leaf(k, asc, high):
         sinks[k, asc] += 1
-        if h.rank <= 2 and all(h.component_type(c) != "W" for c in h.components):
-            n2 = h.levels.count(2)
-            two_column[(h.size - n2, n2), asc] += 1
-        if k > 1 and _in_hook_family(h, k - 1):
+        n2 = len(rank2)
+        h = Heap.from_word(order, word) if high <= 2 else None
+        if h and all(h.component_type(c) != "W" for c in h.components):
+            two_column[(d - n2, n2), asc] += 1
+        if k > 1 and n2 == 1:
             hooks[k - 1, asc] += 1
+        elif k > 1 and n2 == 2 and rank2[0] == rank2[1]:
+            if not (h or Heap.from_word(order, word)).forbidden_paths():
+                hooks[k - 1, asc] += 1
+
+    def walk(j, letters, left, k, asc, high):
+        if not left:
+            return leaf(k, asc, high)
+        bit = 1 << j
+        for a in letters:
+            if not room[a]:
+                continue
+            rest = left ^ 1 << a if room[a] == 1 else left
+            if rest:
+                if rest not in run_top:
+                    run_top[rest] = order.runs(c for c in cols if rest >> c & 1)[0][-1]
+                if below[a] >> run_top[rest] & 1:
+                    continue
+            t = touching[a]
+            r = 1 + max(map(top.__getitem__, t))
+            if r == 2:
+                under = 0
+                for c in t:
+                    under |= blocks[c]
+                rank2.append(under)
+            room[a] -= 1
+            word.append(a)
+            was = top[a]
+            top[a] = r
+            blocks[a] |= bit
+            height[a] += 1
+            up = sum(map(height.__getitem__, larger[a]))
+            walk(j + 1, follow[a], rest, k + (r == 1), asc + up, r if r > high else high)
+            height[a] -= 1
+            blocks[a] ^= bit
+            top[a] = was
+            word.pop()
+            room[a] += 1
+            if r == 2:
+                rank2.pop()
+
+    walk(0, follow[0], sum(1 << a for a in cols if mu[a - 1]), 0, 0, 0)
     return _EHeapSums(_polys(sinks), _polys(two_column), _polys(hooks))
 
 
@@ -730,23 +806,6 @@ def coeff_e_hook(order: UnitIntervalOrder, mu, a: int, l: int) -> QPoly:
     if a + l + 1 == sum(mu):
         out = _e_heap_sums(order, mu).hooks.get(l, out)
     return _check_e(order, mu, (a + 1,) + (1,) * l, out, "hook")
-
-
-def _in_hook_family(h: Heap, l: int) -> bool:
-    """Membership in the hook family for l, as defined at coeff_e_hook."""
-    if h.sink_count != l + 1:
-        return False
-    rank2 = [b for b, r in enumerate(h.levels) if r == 2]
-    if len(rank2) == 1:
-        return True
-    if len(rank2) != 2:
-        return False
-    p, r = rank2
-    # (A) and (B), see coeff_e_hook
-    if h.lower[p] != h.lower[r]:
-        return False
-    # (C)
-    return not h.forbidden_paths()
 
 
 def sink_sum(order: UnitIntervalOrder, mu, k: int) -> QPoly:

@@ -312,8 +312,6 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    if args.max_n is not None and args.max_n < 1:
-        raise UsageError("--max-n must be at least 1")
     if args.poset is not None:
         order, mu = _parse_instance(args)
         instances = [(order, mu)]
@@ -350,6 +348,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.max_n is not None and args.max_n < 1:
+            raise UsageError("--max-n must be at least 1")
         if args.command == "expand":
             return cmd_expand(args)
         if args.command == "classes":

@@ -14,7 +14,6 @@ from chromheap.chromatic import (
     _complemented,
     _e_heap_sums,
     _fundamental_to_monomial,
-    _in_hook_family,
     asc_des_symmetry_check,
     chromatic_sym,
     class_qsym,
@@ -36,7 +35,12 @@ from chromheap.chromatic import (
     scaling_check,
     sink_sum,
 )
-from chromheap.heaps import descent_positions, enumerate_classes, enumerate_heaps
+from chromheap.heaps import (
+    _enumerate_heaps,
+    descent_positions,
+    enumerate_classes,
+    enumerate_heaps,
+)
 from chromheap.ncsf import nc_h, pair_gamma
 from chromheap.partitions import check_type
 from chromheap.posets import UnitIntervalOrder
@@ -528,12 +532,22 @@ def _in_hook_family_abc(h, l):
     return not forbidden_paths_exhaustive(h)
 
 
+def _in_hook_family_by_masks(h, l):
+    """The hook test of chromatic._e_heap_sums on a Heap: l + 1 sinks and
+    one rank-2 block, or two with equal lower masks ((A) and (B)) and no
+    forbidden path (C)."""
+    rank2 = [h.lower[b] for b in range(h.size) if h.levels[b] == 2]
+    if h.sink_count != l + 1 or len(rank2) not in (1, 2):
+        return False
+    return len(rank2) == 1 or rank2[0] == rank2[1] and not h.forbidden_paths()
+
+
 def test_hook_family_equals_conditions_a_b_c():
     members = 0
     for order, mu in small_heap_types():
         for h in enumerate_heaps(order, mu):
             for l in range(h.size + 1):
-                got = _in_hook_family(h, l)
+                got = _in_hook_family_by_masks(h, l)
                 assert got == _in_hook_family_abc(h, l), (h, l)
                 members += got
     assert members > 5000
@@ -579,9 +593,20 @@ def test_heap_sums_equal_the_per_shape_loops(case):
 
 
 def test_heap_sums_equal_the_per_shape_loops_on_small_types():
-    # random orders rarely have a rank <= 2 heap with a W component; these do
-    for order, mu in small_heap_types():
+    # random orders rarely have a rank <= 2 heap with a W component; these
+    # do, and 3,2,2 stacks three blocks in one column
+    for order, mu in [*small_heap_types(), (P233, (3, 2, 2))]:
         _assert_heap_sums_match_the_loops(order, mu)
+
+
+def test_e_expansion_leaves_the_heaps_of_its_type_unbuilt():
+    """The heap side of the e-checks walks the canonical words; it never
+    asks for the heaps of the type."""
+    _enumerate_heaps.cache_clear()
+    _e_heap_sums.cache_clear()
+    expansion(UnitIntervalOrder((3, 4, 5, 6, 7, 7, 7)), (1,) * 7, "e")
+    assert _e_heap_sums.cache_info().misses == 1
+    assert _enumerate_heaps.cache_info().misses == 0
 
 
 def _assert_heap_sums_match_the_loops(order, mu):

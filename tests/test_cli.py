@@ -327,9 +327,17 @@ def test_verify_sweep(capsys):
     assert len(tags) == 8
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_verify_max_n_must_be_positive(capsys, value):
-    code, out, err = run(capsys, "verify", "--suite", "sinks", "--max-n", value)
+@pytest.mark.parametrize(
+    "command, value",
+    [
+        pytest.param(command, value, id=value if command == "verify" else command + value)
+        for command in ("verify", "expand", "classes")
+        for value in ("0", "-2")
+    ],
+)
+def test_verify_max_n_must_be_positive(capsys, command, value):
+    instance = ("--suite", "sinks") if command == "verify" else ("--poset", "3,3,3")
+    code, out, err = run(capsys, command, *instance, "--max-n", value)
     assert code == 1 and out == ""
     assert err == "error: --max-n must be at least 1\n"
 
@@ -401,7 +409,8 @@ def test_per_instance_caches_hold_one_instance(capsys):
     caches = (heaps._enumerate_heaps, chromatic._e_coefficients, chromatic._e_heap_sums)
     for cache in caches:
         cache.cache_clear()
-    assert run(capsys, "verify", "--suite", "two-column", "--max-n", "4")[0] == 0
+    # positivity lists the classes of each instance and expands it in e
+    assert run(capsys, "verify", "--suite", "positivity", "--max-n", "4")[0] == 0
     for cache in caches:
         assert cache.cache_info().currsize == 1, cache
 
