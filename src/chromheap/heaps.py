@@ -14,15 +14,23 @@ blocks is chordal (see Heap.covers); components depend on the columns
 alone. A heap is built by dropping a word (from_word, through which
 from_levels drops a diagram level by level), and a local flip reverses
 the two edges of a flippable triple and keeps the block ids.
+
+Flip classes are closed on plain mask tuples (_flip_class), from a
+descent-free word dropped with block ids in (column, position) order:
+each member's canonical word comes from a lowest-bit walk and its flips
+from three mask XORs. Heap objects are built only for the members that
+flip_closure and enumerate_classes return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import attrgetter
 
-from .partitions import check_type, multiset_permutations, word_type, words
+from .partitions import check_type, word_type, words
+
+# unused here; bound for benchmarks/child.py, which counts its yields in this namespace
+from .partitions import multiset_permutations  # noqa: F401
 from .posets import UnitIntervalOrder
 
 
@@ -489,16 +497,132 @@ def _enumerate_heaps(order, mu):
     return tuple(Heap.from_word(order, w) for w in canonical)
 
 
+def _flip_class(order: UnitIntervalOrder, word) -> list:
+    """The flip class of the heap of a descent-free word, as (canonical
+    word, lower masks) pairs sorted by canonical word.
+
+    The word is dropped once, with block ids in (column, position)
+    order: the i-th block from the bottom of column a gets the id after
+    the blocks of smaller columns and of the i - 1 lower blocks of a.
+    Flips never reverse the edge between two blocks of one column (the
+    blocks of a flippable triple lie in three distinct columns), so every
+    member keeps these ids, and two members are the same heap exactly
+    when their masks are equal. Each member then takes one pass: its
+    covers (as in Heap.covers), the blocks covering each block, its
+    canonical word, and the masks of its flips.
+
+    The canonical word is the lex-least linear extension: at each step
+    take the free block of least column, which is the lowest free id.
+    A block becomes free when the last of its lower blocks is taken, and
+    that block is one it covers (a lower block that it does not cover
+    lies below another lower block, taken later). So the walk frees only
+    blocks covering the block just taken.
+
+    A start heap with no flippable triple is its own class, and its
+    canonical word is the word given.
+    """
+    cols = tuple(sorted(word))
+    d = len(cols)
+    touch = order.touch
+    first = {}  # column -> its least id, then its next id while dropping
+    near = {}  # column -> ids in the columns touching it
+    for b in range(d - 1, -1, -1):
+        first[cols[b]] = b
+    for b, a in enumerate(cols):
+        for c in first:
+            if touch[a] >> c & 1:
+                near[c] = near.get(c, 0) | 1 << b
+    lower = [0] * d
+    dropped = 0
+    for a in word:
+        b = first[a]
+        first[a] = b + 1
+        lower[b] = dropped & near[a]
+        dropped |= 1 << b
+    start = tuple(lower)
+    seen = {start}
+    stack = [start]
+    out = []
+    while stack:
+        lower = stack.pop()
+        covers = []
+        above = [0] * d
+        free = 0  # blocks with nothing below
+        for b, below in enumerate(lower):
+            deeper = 0
+            m = below
+            while m:
+                low = m & -m
+                deeper |= lower[low.bit_length() - 1]
+                m ^= low
+            m = below & ~deeper
+            covers.append(m)
+            while m:
+                low = m & -m
+                above[low.bit_length() - 1] |= 1 << b
+                m ^= low
+            if not below:
+                free |= 1 << b
+        flips = []
+        for q in range(d):
+            bit_q = 1 << q
+            for group in (covers[q], above[q]):
+                if not group & group - 1:
+                    continue  # fewer than two blocks
+                while group:
+                    low = group & -group
+                    group ^= low
+                    p = low.bit_length() - 1
+                    rest = group
+                    while rest:
+                        low_r = rest & -rest
+                        rest ^= low_r
+                        flipped = list(lower)
+                        flipped[p] ^= bit_q
+                        flipped[low_r.bit_length() - 1] ^= bit_q
+                        flipped[q] ^= low | low_r
+                        flips.append(tuple(flipped))
+        if not flips and lower is start:
+            return [(tuple(word), start)]
+        done = 0
+        canonical = []
+        while free:
+            low = free & -free
+            b = low.bit_length() - 1
+            canonical.append(cols[b])
+            done |= low
+            free ^= low
+            m = above[b]
+            while m:
+                low = m & -m
+                if not lower[low.bit_length() - 1] & ~done:
+                    free |= low
+                m ^= low
+        out.append((tuple(canonical), lower))
+        for key in flips:
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+    out.sort()  # canonical words differ, so the masks are never compared
+    return out
+
+
+def _member(order, cols, lower, word) -> Heap:
+    heap = Heap(order, cols, lower)
+    heap.canonical_word = word  # fills the cached_property
+    return heap
+
+
 @dataclass(frozen=True)
 class HeapClass:
-    """A flip-equivalence class of heaps."""
+    """A flip-equivalence class of heaps, sorted by canonical word."""
 
     heaps: tuple
 
     @property
     def representative(self) -> tuple:
         """Least canonical word among the member heaps."""
-        return min(h.canonical_word for h in self.heaps)
+        return self.heaps[0].canonical_word
 
     @property
     def ascents(self) -> int:
@@ -512,109 +636,36 @@ def flip_closure(heap: Heap) -> list:
     """All heaps reachable from this one by local flips, sorted by
     canonical word.
 
-    Members are told apart by their lower masks. Flips keep block ids
-    and columns, and never reverse the edge between two blocks of one
-    column (the blocks of a flippable triple lie in three distinct
-    columns). So the i-th block from the bottom of column a has the same
-    id in every member, and two members are the same heap exactly when
-    their masks are equal.
+    The members are rebuilt from the canonical word, so their block ids
+    run in (column, position) order (see _flip_class), whatever the ids
+    of the given heap.
     """
-    seen = {heap.lower: heap}
-    frontier = [heap]
-    while frontier:
-        h = frontier.pop()
-        for t in h.flippable_triples():
-            h2 = h._flip(t)
-            if h2.lower not in seen:
-                seen[h2.lower] = h2
-                frontier.append(h2)
-    return sorted(seen.values(), key=attrgetter("canonical_word"))
+    order = heap.order
+    cols = tuple(sorted(heap.cols))
+    return [
+        _member(order, cols, lower, w)
+        for w, lower in _flip_class(order, heap.canonical_word)
+    ]
 
 
-def enumerate_classes(order: UnitIntervalOrder, mu, method: str = "flips") -> list:
-    """Flip-equivalence classes of heaps of the given type.
+def enumerate_classes(order: UnitIntervalOrder, mu) -> list:
+    """Flip-equivalence classes of heaps of the given type, sorted by
+    representative.
 
-    method='flips' closes each heap under local flips; method='words'
-    reads off components of the word graph instead. The two agree and
-    are cross-checked in the test suite.
+    The descent-free words of the type come in lexicographic order, so
+    the first word of a class met is its representative.
     """
-    if method == "flips":
-        classes = []
-        done = set()
-        for h in enumerate_heaps(order, mu):
-            if h.cols in done:  # cols is the canonical word here
-                continue
-            members = flip_closure(h)
-            done.update(m.canonical_word for m in members)
-            classes.append(HeapClass(tuple(members)))
-    elif method == "words":
-        classes = []
-        for comp in gamma_components(order, mu, barred=True):
-            members = sorted(w for w in comp if is_descent_free(order, w))
-            classes.append(
-                HeapClass(tuple(Heap.from_word(order, w) for w in members))
-            )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    classes.sort(key=lambda c: c.representative)
-    return classes
-
-
-# ---------------------------------------------------------------------------
-# the word graph
-
-
-def gamma_neighbors(order: UnitIntervalOrder, w, barred: bool = True) -> list:
-    """Words adjacent to w in the word graph, with edge labels.
-
-    Unbarred edges swap an adjacent comparable pair; barred edges apply
-    the three-letter moves bac <-> acb and bca <-> cab for a < b < c with
-    a, b incomparable, b, c incomparable and a below c.
-    """
-    w = tuple(w)
-    out = []
-    for i in range(len(w) - 1):
-        if order.comparable(w[i], w[i + 1]):
-            v = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-            out.append((v, i + 1))
-    if barred:
-        for i in range(len(w) - 2):
-            trip = w[i : i + 3]
-            if len(set(trip)) < 3:
-                continue
-            a, b, c = sorted(trip)
-            if order.less(a, b) or order.less(b, c) or not order.less(a, c):
-                continue
-            moves = {
-                (b, a, c): (a, c, b),
-                (a, c, b): (b, a, c),
-                (b, c, a): (c, a, b),
-                (c, a, b): (b, c, a),
-            }
-            image = moves.get(trip)
-            if image is not None:
-                out.append((w[:i] + image + w[i + 3 :], (i + 2, "bar")))
-    return out
-
-
-def gamma_components(order: UnitIntervalOrder, mu, barred: bool = True) -> list:
-    """Connected components of the word graph on words of type mu."""
+    mu = tuple(mu)
     check_type(mu, order.n)
-    words = set(multiset_permutations(mu))
-    comps = []
-    seen = set()
-    for start in sorted(words):
-        if start in seen:
+    cols = tuple(a for a, x in enumerate(mu, 1) for _ in range(x))
+    classes = []
+    done = set()
+    for w in descent_free_words(order, len(cols), mu):
+        if w in done:
             continue
-        comp = {start}
-        frontier = [start]
-        seen.add(start)
-        while frontier:
-            w = frontier.pop()
-            for v, _ in gamma_neighbors(order, w, barred=barred):
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    frontier.append(v)
-        comps.append(frozenset(comp))
-    return comps
+        members = _flip_class(order, w)
+        done.update(m for m, _ in members)
+        classes.append(
+            HeapClass(tuple(_member(order, cols, lower, m) for m, lower in members))
+        )
+    return classes

@@ -8,7 +8,8 @@ combinations of class representative words: the least descent-free word
 of the class. A word's representative is found from the lexicographic
 normal form of the word (the canonical word of its heap, computed
 without building the heap); only a normal form not seen before costs a
-heap and a flip closure.
+flip class, closed on lower masks without building a heap
+(heaps._flip_class).
 
 The elements here serve the class-identity checks (commutation, the
 p/s method agreements, the height recurrence). `chromatic.expansion`
@@ -22,13 +23,15 @@ from fractions import Fraction
 
 from .errors import MathematicalError
 from .heaps import (
-    Heap,
+    _flip_class,
     descent_free_words,
-    flip_closure,
     has_nontrivial_ltr_maximum,
     inversion_count,
     lex_normal_form,
 )
+
+# unused here; bound for benchmarks/child.py, which wraps it in this namespace
+from .heaps import flip_closure  # noqa: F401
 from .partitions import check_type, word_type, words
 from .posets import UnitIntervalOrder
 from .qpoly import QPoly
@@ -59,10 +62,10 @@ def class_representative(order: UnitIntervalOrder, word) -> tuple:
     key = lex_normal_form(order, word)
     rep = cache.get(key)
     if rep is None:
-        members = flip_closure(Heap.from_word(order, key))
-        rep = members[0].canonical_word
-        for h in members:
-            cache[h.canonical_word] = rep
+        members = _flip_class(order, key)
+        rep = members[0][0]
+        for w, _ in members:
+            cache[w] = rep
     return rep
 
 

@@ -406,13 +406,17 @@ def test_a_huge_color_supply_gives_the_default_output(capsys):
 
 
 def test_per_instance_caches_hold_one_instance(capsys):
-    caches = (heaps._enumerate_heaps, chromatic._e_coefficients, chromatic._e_heap_sums)
-    for cache in caches:
+    caches = (chromatic._e_coefficients, chromatic._e_heap_sums)
+    for cache in (heaps._enumerate_heaps, *caches):
         cache.cache_clear()
+    # classes are closed from the descent-free words, never from the
+    # heaps of the type
+    assert run(capsys, "classes", "--poset", "3,4,5,6,7,7,7")[0] == 0
     # positivity lists the classes of each instance and expands it in e
     assert run(capsys, "verify", "--suite", "positivity", "--max-n", "4")[0] == 0
     for cache in caches:
         assert cache.cache_info().currsize == 1, cache
+    assert heaps._enumerate_heaps.cache_info().misses == 0
 
 
 @st.composite

@@ -9,19 +9,19 @@ from hypothesis import given, settings, strategies as st
 import chromheap.ncsf as ncsf
 from chromheap.heaps import (
     Heap,
+    _flip_class,
+    descent_free_words,
     descent_positions,
     enumerate_classes,
     enumerate_heaps,
     flip_closure,
-    gamma_components,
-    gamma_neighbors,
     has_nontrivial_ltr_maximum,
     inversion_count,
     is_descent_free,
     lex_normal_form,
     ltr_maxima_positions,
 )
-from chromheap.partitions import multiset_permutations, word_type
+from chromheap.partitions import check_type, multiset_permutations, word_type
 from chromheap.posets import UnitIntervalOrder
 from chromheap.render import heap_svg
 
@@ -207,11 +207,12 @@ def test_enumerate_heaps_rejects_wrong_type_length():
 
 @pytest.mark.parametrize("method", ["flips", "words"])
 def test_both_class_methods_reject_a_bad_type(method):
-    """Through enumerate_heaps (flips) and gamma_components (words)."""
+    """Through enumerate_classes (flips) and gamma_components (words)."""
+    classes = enumerate_classes if method == "flips" else classes_by_words
     with pytest.raises(ValueError, match="type vector length must equal n"):
-        enumerate_classes(P233, (1, 1), method=method)
+        classes(P233, (1, 1))
     with pytest.raises(ValueError, match="entries must be nonnegative"):
-        enumerate_classes(P233, (1, -1, 1), method=method)
+        classes(P233, (1, -1, 1))
 
 
 def test_class_methods_agree():
@@ -220,15 +221,8 @@ def test_class_methods_agree():
         for order in UnitIntervalOrder.all_orders(n):
             cases.append((order, (1,) * n))
     for order, mu in cases:
-        by_flips = {
-            frozenset(h.canonical_word for h in c.heaps)
-            for c in enumerate_classes(order, mu, method="flips")
-        }
-        by_words = {
-            frozenset(h.canonical_word for h in c.heaps)
-            for c in enumerate_classes(order, mu, method="words")
-        }
-        assert by_flips == by_words, (order.m, mu)
+        by_flips = [[h.canonical_word for h in c.heaps] for c in enumerate_classes(order, mu)]
+        assert by_flips == classes_by_words(order, mu), (order.m, mu)
 
 
 def test_class_ascents_constant():
@@ -306,6 +300,19 @@ def test_flip_closure_equals_the_canonical_word_reference():
             assert got == [m.canonical_word for m in flip_closure_by_canonical_word(h)], h
             heaps += 1
     assert heaps > 20000
+
+
+def test_flip_class_words_equal_the_rank_sort_route():
+    """The kernel's low-bit walk against Heap.canonical_word (rank sort
+    and lex_normal_form) on a fresh heap over the same masks."""
+    members = 0
+    for order, mu in small_heap_types():
+        cols = tuple(sorted(a for a, x in enumerate(mu, 1) for _ in range(x)))
+        for w in descent_free_words(order, len(cols), mu):
+            for word, lower in _flip_class(order, w):
+                assert word == Heap(order, cols, lower).canonical_word, (order.m, w)
+                members += 1
+    assert members > 20000
 
 
 def test_class_representative_equals_the_reference(monkeypatch):
@@ -749,7 +756,73 @@ def test_flippable_triples_equal_the_tuple_reference():
 
 
 # ---------------------------------------------------------------------------
-# word graph
+# word graph: the words route to the classes
+
+
+def gamma_neighbors(order, w, barred=True):
+    """Words adjacent to w in the word graph, with edge labels.
+
+    Unbarred edges swap an adjacent comparable pair; barred edges apply
+    the three-letter moves bac <-> acb and bca <-> cab for a < b < c with
+    a, b incomparable, b, c incomparable and a below c.
+    """
+    w = tuple(w)
+    out = []
+    for i in range(len(w) - 1):
+        if order.comparable(w[i], w[i + 1]):
+            v = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+            out.append((v, i + 1))
+    if barred:
+        for i in range(len(w) - 2):
+            trip = w[i : i + 3]
+            if len(set(trip)) < 3:
+                continue
+            a, b, c = sorted(trip)
+            if order.less(a, b) or order.less(b, c) or not order.less(a, c):
+                continue
+            moves = {
+                (b, a, c): (a, c, b),
+                (a, c, b): (b, a, c),
+                (b, c, a): (c, a, b),
+                (c, a, b): (b, c, a),
+            }
+            image = moves.get(trip)
+            if image is not None:
+                out.append((w[:i] + image + w[i + 3 :], (i + 2, "bar")))
+    return out
+
+
+def gamma_components(order, mu, barred=True):
+    """Connected components of the word graph on words of type mu."""
+    check_type(mu, order.n)
+    words = set(multiset_permutations(mu))
+    comps = []
+    seen = set()
+    for start in sorted(words):
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        seen.add(start)
+        while frontier:
+            w = frontier.pop()
+            for v, _ in gamma_neighbors(order, w, barred=barred):
+                if v not in seen:
+                    seen.add(v)
+                    comp.add(v)
+                    frontier.append(v)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def classes_by_words(order, mu):
+    """Reference for enumerate_classes: the descent-free words of each
+    component of the barred word graph, sorted within and across
+    classes."""
+    return sorted(
+        sorted(w for w in comp if is_descent_free(order, w))
+        for comp in gamma_components(order, mu, barred=True)
+    )
 
 
 def test_gamma_components_running_example():
