@@ -29,7 +29,6 @@ heap as its blocks drop.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -447,21 +446,34 @@ def class_sym(cls: HeapClass) -> SymFunc:
 # basis expansions
 
 
-@dataclass
 class ExpansionReport:
     """Coefficients of the chromatic function (or its omega image) in a
     basis, with per-partition provenance and positivity flags."""
 
-    order: UnitIntervalOrder
-    mu: tuple
-    basis: str
-    degree: int
-    coefficients: dict
-    provenance: dict
-    positive: bool = field(init=False)
+    _FIELDS = ("order", "mu", "basis", "degree", "coefficients", "provenance", "positive")
 
-    def __post_init__(self):
-        self.positive = all(c.is_nonnegative() for c in self.coefficients.values())
+    def __init__(self, order, mu, basis, degree, coefficients, provenance):
+        self.order = order
+        self.mu = mu
+        self.basis = basis
+        self.degree = degree
+        self.coefficients = coefficients
+        self.provenance = provenance
+        self.positive = all(c.is_nonnegative() for c in coefficients.values())
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # the fields are mutable
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._FIELDS, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
 
     def to_json(self) -> dict:
         parts = revlex_sorted(self.coefficients)

@@ -24,7 +24,6 @@ flip_closure and enumerate_classes return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .partitions import check_type, word_type, words
@@ -613,11 +612,34 @@ def _member(order, cols, lower, word) -> Heap:
     return heap
 
 
-@dataclass(frozen=True)
 class HeapClass:
-    """A flip-equivalence class of heaps, sorted by canonical word."""
+    """A flip-equivalence class of heaps, sorted by canonical word.
+    Frozen and hashable; the heaps are kept as a tuple."""
 
-    heaps: tuple
+    __slots__ = ("heaps",)
+
+    def __init__(self, heaps):
+        object.__setattr__(self, "heaps", tuple(heaps))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.heaps == other.heaps
+
+    def __hash__(self):
+        return hash(self.heaps)
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(heaps={self.heaps!r})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.heaps,))
 
     @property
     def representative(self) -> tuple:
@@ -666,6 +688,6 @@ def enumerate_classes(order: UnitIntervalOrder, mu) -> list:
         members = _flip_class(order, w)
         done.update(m for m, _ in members)
         classes.append(
-            HeapClass(tuple(_member(order, cols, lower, m) for m, lower in members))
+            HeapClass(_member(order, cols, lower, m) for m, lower in members)
         )
     return classes

@@ -7,22 +7,21 @@ incomparability graph has an edge {i, j} (i < j) exactly when j <= m_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .partitions import check_type
 
 
-@dataclass(frozen=True)
 class DyckPath:
     """Lattice path of N/E steps from (0,0) to (n,n) staying weakly above
-    the diagonal."""
+    the diagonal. Frozen and hashable; the steps are kept as a tuple."""
 
-    steps: tuple
+    __slots__ = ("steps",)
 
-    def __post_init__(self):
+    def __init__(self, steps):
+        steps = tuple(steps)
         x = y = 0
-        for s in self.steps:
+        for s in steps:
             if s == "N":
                 y += 1
             elif s == "E":
@@ -33,6 +32,27 @@ class DyckPath:
                 raise ValueError("path dips below the diagonal")
         if x != y:
             raise ValueError("path must end on the diagonal")
+        object.__setattr__(self, "steps", steps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __hash__(self):
+        return hash(self.steps)
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(steps={self.steps!r})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.steps,))
 
     @property
     def n(self) -> int:

@@ -1,6 +1,7 @@
 """Chromatic functions: oracle, word route, expansions and theorems."""
 
 import json
+import pickle
 import random
 from itertools import combinations
 
@@ -43,7 +44,7 @@ from chromheap.heaps import (
 )
 from chromheap.ncsf import nc_h, pair_gamma
 from chromheap.partitions import check_type
-from chromheap.posets import UnitIntervalOrder
+from chromheap.posets import DyckPath, UnitIntervalOrder
 from chromheap.qpoly import QPoly, q_factorial
 from chromheap.symfunc import NotSymmetricError, QSymFunc
 from test_heaps import forbidden_paths_exhaustive, small_heap_types
@@ -685,3 +686,38 @@ def test_scaling_examples():
 
 def test_cross_check_error_is_assertion():
     assert issubclass(CrossCheckError, AssertionError)
+
+
+def test_value_types_compare_hash_freeze_and_print():
+    """DyckPath, HeapClass and ExpansionReport keep their value semantics:
+    equality, hashing of the two frozen types, frozen fields, pickling
+    and the field-by-field repr."""
+    path = DyckPath(("N", "E"))
+    assert path == DyckPath(("N", "E")) and hash(path) == hash(DyckPath(("N", "E")))
+    assert path != DyckPath(("N", "N", "E", "E"))
+    assert repr(path) == "DyckPath(steps=('N', 'E'))"
+    with pytest.raises(AttributeError):
+        path.steps = ("N", "N", "E", "E")
+
+    first = enumerate_classes(P233, (1, 1, 1))[0]
+    again = enumerate_classes(P233, (1, 1, 1))[0]
+    assert first == again and hash(first) == hash(again)
+    assert first != enumerate_classes(P233, (1, 1, 1))[1]
+    assert repr(first) == "HeapClass(heaps=(Heap('2,3,3', word=123),))"
+    with pytest.raises(AttributeError):
+        first.heaps = ()
+
+    report = expansion(P233, (1, 1, 1), "e")
+    assert report == expansion(P233, (1, 1, 1), "e")
+    assert report != expansion(P233, (1, 1, 1), "m")
+    with pytest.raises(TypeError):
+        hash(report)
+    assert repr(report) == (
+        "ExpansionReport(order=UnitIntervalOrder([2, 3, 3]), mu=(1, 1, 1), "
+        "basis='e', degree=3, coefficients={(3,): QPoly(1 + q + q^2), "
+        "(2, 1): QPoly(q)}, provenance={(3,): 'basis-change', "
+        "(2, 1): 'theorem+basis-change'}, positive=True)"
+    )
+
+    for value in (path, first, report):
+        assert pickle.loads(pickle.dumps(value)) == value

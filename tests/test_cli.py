@@ -658,3 +658,24 @@ def test_classes_json_is_byte_deterministic():
         outs = _stdouts_under_hash_seeds(argv)
         assert len(outs) == 1, args
         assert json.loads(outs.pop())["classes"]
+
+
+def test_cli_import_pulls_in_no_class_boilerplate_modules():
+    """Each call is a fresh interpreter, so importing the CLI must not drag
+    in dataclasses and the inspect chain behind it. Only modules that the
+    import itself adds count, not those a site hook preloads."""
+    code = (
+        "import sys, json; before = set(sys.modules); import chromheap.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True
+    )
+    added = set(json.loads(done.stdout))
+    assert "chromheap.cli" in added
+    banned = {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
+    assert not added & banned, sorted(added & banned)

@@ -70,6 +70,9 @@ def test_dyck_path_validation():
     path = DyckPath(("N", "N", "E", "N", "E", "E"))
     assert path.n == 3
     assert path.bound_sequence() == (2, 3, 3)
+    # any iterable of steps gives the same hashable value
+    listed = DyckPath(["N", "N", "E", "N", "E", "E"])
+    assert listed == path and hash(listed) == hash(path)
 
 
 def test_dyck_round_trip_all_small_orders():
