@@ -681,12 +681,14 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
     words of its heaps, for every theorem-side e check. It reads the
     heaps alone, never the basis change.
 
-    Each block is read as it drops, as in Heap.from_word: its lower
+    Each block is read as it drops, as in heaps._drop: its lower
     blocks are the earlier blocks of the columns touching its own. So
     its rank is one more than the highest top rank among those columns
     (a sink when that is 0), it adds one ascent per such block in a
     larger column, and at rank 2 its lower mask is the OR of those
-    columns' masks, with drop positions as block ids. A Heap is built
+    columns' masks. Here a block's id is its drop position, not the
+    (column, position) id of a Heap; the walk compares these masks only
+    with each other. A Heap is built
     only for the W-component test of a rank <= 2 heap, and for test (C)
     of a hook candidate whose two rank-2 blocks pass (A) and (B), that
     is, have equal lower masks (see coeff_e_hook).

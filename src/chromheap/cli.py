@@ -369,6 +369,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (OverflowError, MemoryError) as exc:
+        # an instance too large to hold, such as a table of 2^(d-1) descent masks
+        print(f"error: instance too large to compute ({type(exc).__name__})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

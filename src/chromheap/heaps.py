@@ -7,23 +7,26 @@ the same interval always point toward the earlier copy. Words of type
 mu correspond to heaps by dropping blocks onto the interval model in
 reading order, and the words of a heap are its linear extensions.
 
+A block is named by its column and its position in that column, as in
+Viennot's heaps of pieces, and every heap numbers its blocks in that
+(column, position) order; one drop (_drop) builds the masks of a word.
 A Heap stores its orientation as one bitmask per block, the blocks
-directly below it, and reads ranks, sinks, covers, block labels and
-words off these masks; covers take one step, because the touch graph on
+directly below it, and reads ranks, sinks, covers, ascents and words
+off these masks; covers take one step, because the touch graph on
 blocks is chordal (see Heap.covers); components depend on the columns
-alone. A heap is built by dropping a word (from_word, through which
-from_levels drops a diagram level by level), and a local flip reverses
-the two edges of a flippable triple and keeps the block ids.
+alone. A local flip reverses the two edges of a flippable triple and
+keeps the block ids, so all the words of a heap, and all the heaps of a
+flip class, share one numbering and are told apart by their masks.
 
-Flip classes are closed on plain mask tuples (_flip_class), from a
-descent-free word dropped with block ids in (column, position) order:
-each member's canonical word comes from a lowest-bit walk and its flips
-from three mask XORs. Heap objects are built only for the members that
+Flip classes are closed on plain mask tuples (_flip_class): each
+member's canonical word comes from a lowest-bit walk and its flips from
+three mask XORs. Heap objects are built only for the members that
 flip_closure and enumerate_classes return.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
 
 from .partitions import check_type, word_type, words
@@ -137,14 +140,50 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _drop(order: UnitIntervalOrder, word) -> tuple:
+    """(cols, lower) of the heap of a word over 1..n, dropped in reading
+    order. Ids run in (column, position) order: cols is the sorted word,
+    and the i-th block from the bottom of column a gets the id after the
+    blocks of smaller columns and the i - 1 below it in a. A block's
+    lower blocks are those dropped before it in the columns touching
+    its own.
+
+    Heap.from_word and _flip_class both drop here. The test reference
+    OrientedHeap.from_word orients every pair of letters on its own and
+    must not call this, so that it checks the drop independently.
+    """
+    cols = tuple(sorted(word))
+    d = len(cols)
+    touch = order.touch
+    first = {}  # column -> its least id, then its next id while dropping
+    near = {}  # column -> ids in the columns touching it
+    for b in range(d - 1, -1, -1):
+        first[cols[b]] = b
+    for b, a in enumerate(cols):
+        for c in first:
+            if touch[a] >> c & 1:
+                near[c] = near.get(c, 0) | 1 << b
+    lower = [0] * d
+    dropped = 0
+    for a in word:
+        b = first[a]
+        first[a] = b + 1
+        lower[b] = dropped & near[a]
+        dropped |= 1 << b
+    return cols, tuple(lower)
+
+
 class Heap:
     """Immutable heap; block ids are 0..d-1, each with a column.
 
-    The orientation is one int per block: bit u of lower[b] is set when
-    block u lies directly below block b (their columns touch, and the
-    edge between them points up to b). Every statistic is read off
-    these masks. Flips keep the block ids, so in a flipped heap the ids
-    need not run bottom-up.
+    The ids run in (column, position) order: cols is sorted, and the
+    blocks of a column are numbered bottom-up. Every constructor keeps
+    this, flips included, since a flip never reverses the edge between
+    two blocks of one column. The orientation is one int per block: bit
+    u of lower[b] is set when block u lies directly below block b (their
+    columns touch, and the edge between them points up to b). Every
+    statistic is read off these masks, and two heaps over one order are
+    equal exactly when their cols and masks are.
     """
 
     __slots__ = ("order", "cols", "lower", "__dict__")
@@ -156,25 +195,14 @@ class Heap:
 
     @classmethod
     def from_word(cls, order: UnitIntervalOrder, word) -> "Heap":
-        """Drop the letters of the word in reading order."""
+        """Drop the letters of the word in reading order (see _drop)."""
         word = tuple(word)
         if not word:
             raise ValueError("empty word")
-        touch = order.touch
-        dropped = [0] * (order.n + 1)  # column -> its blocks so far
-        lower = []
-        for j, a in enumerate(word):
+        for a in word:
             if not 1 <= a <= order.n:
                 raise ValueError(f"letter {a} outside the alphabet")
-            below = 0
-            t = touch[a]
-            while t:
-                low = t & -t
-                below |= dropped[low.bit_length() - 1]
-                t ^= low
-            lower.append(below)
-            dropped[a] |= 1 << j
-        return cls(order, word, lower)
+        return cls(order, *_drop(order, word))
 
     @classmethod
     def from_levels(cls, order: UnitIntervalOrder, levels) -> "Heap":
@@ -191,9 +219,9 @@ class Heap:
         for a in levels:
             if not 1 <= a <= order.n:
                 raise ValueError(f"column {a} outside the alphabet")
-        blocks = sorted((lv, a) for a in levels for lv in levels[a])
-        heap = cls.from_word(order, [a for _, a in blocks])
-        if heap.levels != tuple(lv for lv, _ in blocks):
+        cells = sorted((a, lv) for a in levels for lv in levels[a])  # in id order
+        heap = cls.from_word(order, [a for a, _ in sorted(cells, key=lambda c: c[::-1])])
+        if heap.levels != tuple(lv for _, lv in cells):
             raise ValueError("diagram is not gravity-stable")
         return heap
 
@@ -302,32 +330,22 @@ class Heap:
 
     @cached_property
     def ascents(self) -> int:
-        """Oriented adjacencies whose lower block sits in a larger column."""
-        cols = self.cols
-        n = self.order.n
-        in_col = [0] * (n + 1)
-        for b, a in enumerate(cols):
-            in_col[a] |= 1 << b
-        greater = [0] * (n + 1)  # column a -> blocks in columns above a
-        for a in range(n - 1, 0, -1):
-            greater[a] = greater[a + 1] | in_col[a + 1]
-        return sum(
-            (below & greater[cols[b]]).bit_count()
-            for b, below in enumerate(self.lower)
-        )
+        """Oriented adjacencies whose lower block sits in a larger column:
+        the ids from the end of a block's column on."""
+        end = {a: b + 1 for b, a in enumerate(self.cols)}  # column -> past its top
+        return sum((below >> end[a]).bit_count() for a, below in zip(self.cols, self.lower))
 
     def block(self, a: int, i: int) -> int:
         """Id of the i-th lowest block (1-based) in column a."""
-        for b in range(self.size):
-            if self.block_label(b) == (a, i):
-                return b
-        raise ValueError(f"column {a} has no block {i}")
+        b = bisect_left(self.cols, a) + i - 1
+        if i < 1 or b >= self.size or self.cols[b] != a:
+            raise ValueError(f"column {a} has no block {i}")
+        return b
 
     def block_label(self, b: int) -> tuple:
-        """(column, position from the bottom) of a block id. The blocks
-        of one column touch, so each one below b is a lower block of b."""
+        """(column, position from the bottom) of a block id."""
         a = self.cols[b]
-        return (a, 1 + sum(self.cols[u] == a for u in _bits(self.lower[b])))
+        return (a, b + 1 - bisect_left(self.cols, a))
 
     def flippable_triples(self) -> list:
         """Triples (p, q, r) with q covering both p and r, or covered by
@@ -381,12 +399,13 @@ class Heap:
         as sorted block ids, ordered by least block. Blocks are adjacent
         exactly when their columns touch, whatever the orientation, so
         a component holds the blocks of one run of columns
-        (UnitIntervalOrder.runs), and flips never change it."""
-        run_of = {a: run for run in self.order.runs(self.cols) for a in run}
-        groups: dict = {}  # run -> its blocks, in order of least block
-        for b, a in enumerate(self.cols):
-            groups.setdefault(run_of[a], []).append(b)
-        return tuple(map(tuple, groups.values()))
+        (UnitIntervalOrder.runs), a range of ids, and flips never change
+        it."""
+        cols = self.cols
+        return tuple(
+            tuple(range(bisect_left(cols, run[0]), bisect_right(cols, run[-1])))
+            for run in self.order.runs(cols)
+        )
 
     def component_type(self, comp) -> str:
         """Classify a rank <= 2 connected component as S, N, M or W."""
@@ -466,11 +485,12 @@ class Heap:
         return (
             isinstance(other, Heap)
             and self.order == other.order
-            and self.canonical_word == other.canonical_word
+            and self.cols == other.cols
+            and self.lower == other.lower
         )
 
     def __hash__(self):
-        return hash((self.order.m, self.canonical_word))
+        return hash((self.order.m, self.cols, self.lower))
 
     def __repr__(self):
         return f"Heap({self.order.text()!r}, word={''.join(map(str, self.canonical_word))})"
@@ -481,11 +501,7 @@ class Heap:
 
 
 def enumerate_heaps(order: UnitIntervalOrder, mu) -> tuple:
-    """All heaps of the given type, sorted by canonical word.
-
-    Each heap is built from its descent-free word, so its cols are its
-    canonical word.
-    """
+    """All heaps of the given type, sorted by canonical word."""
     return _enumerate_heaps(order, tuple(mu))
 
 
@@ -500,15 +516,11 @@ def _flip_class(order: UnitIntervalOrder, word) -> list:
     """The flip class of the heap of a descent-free word, as (canonical
     word, lower masks) pairs sorted by canonical word.
 
-    The word is dropped once, with block ids in (column, position)
-    order: the i-th block from the bottom of column a gets the id after
-    the blocks of smaller columns and of the i - 1 lower blocks of a.
-    Flips never reverse the edge between two blocks of one column (the
-    blocks of a flippable triple lie in three distinct columns), so every
-    member keeps these ids, and two members are the same heap exactly
-    when their masks are equal. Each member then takes one pass: its
-    covers (as in Heap.covers), the blocks covering each block, its
-    canonical word, and the masks of its flips.
+    The word is dropped once (_drop). Flips keep the block ids, so two
+    members are the same heap exactly when their masks are equal. Each
+    member then takes one pass: its covers (as in Heap.covers), the
+    blocks covering each block, its canonical word, and the masks of
+    its flips.
 
     The canonical word is the lex-least linear extension: at each step
     take the free block of least column, which is the lowest free id.
@@ -520,25 +532,8 @@ def _flip_class(order: UnitIntervalOrder, word) -> list:
     A start heap with no flippable triple is its own class, and its
     canonical word is the word given.
     """
-    cols = tuple(sorted(word))
+    cols, start = _drop(order, word)
     d = len(cols)
-    touch = order.touch
-    first = {}  # column -> its least id, then its next id while dropping
-    near = {}  # column -> ids in the columns touching it
-    for b in range(d - 1, -1, -1):
-        first[cols[b]] = b
-    for b, a in enumerate(cols):
-        for c in first:
-            if touch[a] >> c & 1:
-                near[c] = near.get(c, 0) | 1 << b
-    lower = [0] * d
-    dropped = 0
-    for a in word:
-        b = first[a]
-        first[a] = b + 1
-        lower[b] = dropped & near[a]
-        dropped |= 1 << b
-    start = tuple(lower)
     seen = {start}
     stack = [start]
     out = []
@@ -656,16 +651,10 @@ class HeapClass:
 
 def flip_closure(heap: Heap) -> list:
     """All heaps reachable from this one by local flips, sorted by
-    canonical word.
-
-    The members are rebuilt from the canonical word, so their block ids
-    run in (column, position) order (see _flip_class), whatever the ids
-    of the given heap.
-    """
+    canonical word."""
     order = heap.order
-    cols = tuple(sorted(heap.cols))
     return [
-        _member(order, cols, lower, w)
+        _member(order, heap.cols, lower, w)
         for w, lower in _flip_class(order, heap.canonical_word)
     ]
 

@@ -195,6 +195,8 @@ def nc_h(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
     method='words' sums descent-free words; method='relation' builds
     h_0, ..., h_k in turn from h_i = e_1 h_{i-1} - e_2 h_{i-2} + ...
     """
+    if method not in ("words", "relation"):
+        raise ValueError(f"unknown method {method!r}")
     if not isinstance(k, int):
         out = NCElement.one(order)
         for part in k:
@@ -205,16 +207,14 @@ def nc_h(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
     if method == "words":
         words = descent_free_words(order, k)
         return NCElement.from_words(order, words)
-    if method == "relation":
-        es = [nc_e(order, j) for j in range(k + 1)]
-        hs = [es[0]]  # h_0 = e_0 = 1
-        for i in range(1, k + 1):
-            out = NCElement.zero(order)
-            for j in range(1, i + 1):
-                out = out + (-1) ** (j - 1) * (es[j] * hs[i - j])
-            hs.append(out)
-        return hs[k]
-    raise ValueError(f"unknown method {method!r}")
+    es = [nc_e(order, j) for j in range(k + 1)]
+    hs = [es[0]]  # h_0 = e_0 = 1
+    for i in range(1, k + 1):
+        out = NCElement.zero(order)
+        for j in range(1, i + 1):
+            out = out + (-1) ** (j - 1) * (es[j] * hs[i - j])
+        hs.append(out)
+    return hs[k]
 
 
 def nc_p(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
@@ -224,6 +224,8 @@ def nc_p(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
     left-to-right maxima (heaps with a unique sink); method='relation'
     evaluates e_1 h_{k-1} - 2 e_2 h_{k-2} + ... + (-1)^{k-1} k e_k.
     """
+    if method not in ("words", "relation"):
+        raise ValueError(f"unknown method {method!r}")
     if not isinstance(k, int):
         out = NCElement.one(order)
         for part in k:
@@ -234,13 +236,11 @@ def nc_p(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
     if method == "words":
         words = unique_sink_words(order, k)
         return NCElement.from_words(order, words)
-    if method == "relation":
-        out = NCElement.zero(order)
-        for j in range(1, k + 1):
-            term = nc_e(order, j) * nc_h(order, k - j)
-            out = out + ((-1) ** (j - 1) * j) * term
-        return out
-    raise ValueError(f"unknown method {method!r}")
+    out = NCElement.zero(order)
+    for j in range(1, k + 1):
+        term = nc_e(order, j) * nc_h(order, k - j)
+        out = out + ((-1) ** (j - 1) * j) * term
+    return out
 
 
 def nc_s(order: UnitIntervalOrder, lam, method: str = "tableaux") -> NCElement:

@@ -22,10 +22,7 @@ def heap_svg(heap: Heap) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_px}" '
         f'height="{h_px}" viewBox="0 0 {w_px} {h_px}">'
     ]
-    blocks = sorted(
-        range(heap.size), key=lambda b: (heap.cols[b], heap.levels[b])
-    )
-    for b in blocks:
+    for b in range(heap.size):  # ids run in (column, level) order
         a = heap.cols[b]
         lv = heap.levels[b]
         x = 10 + (a - 1) * 0.5 * UNIT

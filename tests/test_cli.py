@@ -446,9 +446,30 @@ def cheap_argv(draw):
 @settings(max_examples=300, deadline=None)
 @given(cheap_argv())
 @example(["verify", "--suite", "oracle", "--poset", "2,3,3", "--colors", str(10**20)])
+# a table of 2^69 descent masks overflows at once, before any allocation
+@example(["expand", "--poset", "1", "--mu", "70", "--max-n", "70", "--basis", "m"])
 def test_cli_never_raises(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1, 2), argv
+
+
+def test_an_instance_too_large_exits_1(capsys, monkeypatch):
+    """An OverflowError or MemoryError is one error line and exit 1.
+    The MemoryError is raised by a stub: a real allocation of 2^(d-1)
+    masks for d in about 28..63 would take the machine's memory."""
+    too_large = ["expand", "--poset", "1", "--mu", "70", "--max-n", "70", "--basis", "m"]
+    for argv in (too_large, ["verify", *too_large[1:-2]]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(chromatic, "_fundamental_to_monomial", out_of_memory)
+    code, out, err = run(capsys, "expand", "--poset", "2,3,4,4", "--mu", "1,2,1,1", "--basis", "m")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "MemoryError" in err
 
 
 # SHA-256 of stdout of expand in every basis and format, and of classes,

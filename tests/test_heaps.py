@@ -118,6 +118,32 @@ def test_lex_normal_form_is_the_canonical_word(case):
                 assert _projection(nf, a, b) == _projection(w, a, b)
 
 
+@settings(max_examples=200, deadline=None)
+@given(orders_and_words(), st.data())
+def test_heap_equality_is_trace_equality(case, data):
+    """Two words of one type give equal heaps, equal hashes and equal
+    lower masks exactly when they have one lex normal form; the diagram
+    of a heap rebuilds it."""
+    order, w = case
+    v = list(data.draw(st.permutations(w)))
+    if data.draw(st.booleans()):
+        # swap adjacent comparable letters of w, which commute: one trace
+        v = list(w)
+        for i in data.draw(st.lists(st.integers(0, len(w) - 1))):
+            if i + 1 < len(v) and order.comparable(v[i], v[i + 1]):
+                v[i], v[i + 1] = v[i + 1], v[i]
+    h, g = Heap.from_word(order, w), Heap.from_word(order, v)
+    same = lex_normal_form(order, w) == lex_normal_form(order, v)
+    assert h.cols == g.cols == tuple(sorted(w))
+    assert (h == g) == same
+    assert (hash(h) == hash(g)) == same
+    assert (h.lower == g.lower) == same
+    diagram: dict = {}
+    for a, lv in zip(h.cols, h.levels):
+        diagram.setdefault(a, []).append(lv)
+    assert Heap.from_levels(order, diagram) == h
+
+
 def test_lex_normal_form_edge_cases():
     assert lex_normal_form(P233, ()) == ()
     assert lex_normal_form(P233, (3, 1, 2)) == (1, 3, 2)
@@ -294,8 +320,12 @@ def test_flip_closure_equals_the_canonical_word_reference():
     heaps = 0
     for order, mu in small_heap_types():
         for h in enumerate_heaps(order, mu):
-            # enumerate_classes skips heaps by cols, relying on this
-            assert h.cols == h.canonical_word, h
+            # ids run in (column, position) order, so every word of the
+            # heap, the first ones and the last, drops to the same masks
+            assert list(h.cols) == sorted(h.cols), h
+            ws = h.words()
+            for w in ws[:2] + ws[-1:]:
+                assert Heap.from_word(order, w).lower == h.lower, (h, w)
             got = [m.canonical_word for m in flip_closure(h)]
             assert got == [m.canonical_word for m in flip_closure_by_canonical_word(h)], h
             heaps += 1
@@ -543,13 +573,22 @@ class OrientedHeap:
 
     @classmethod
     def from_word(cls, order, word):
+        """Orient every pair of positions by comparability of their
+        letters, the earlier one below, then name position j by its
+        (column, position) id: the number of letters in smaller columns
+        plus the number of earlier copies of its own letter. It shares
+        no code with heaps._drop, which it checks."""
+        ids = [
+            sum(a < word[j] for a in word) + word[:j].count(word[j])
+            for j in range(len(word))
+        ]
         orient = [
-            (i, j)
+            (ids[i], ids[j])
             for j in range(len(word))
             for i in range(j)
             if not order.comparable(word[i], word[j])
         ]
-        return cls(order, word, orient)
+        return cls(order, sorted(word), orient)
 
     @classmethod
     def of(cls, heap):
@@ -706,6 +745,7 @@ class OrientedHeap:
 
 
 def _assert_matches_the_reference(h, ref):
+    assert list(h.cols) == sorted(h.cols), h
     assert h.lower == ref.masks, h
     for name in ("levels", "sinks", "ascents", "components", "canonical_word"):
         assert getattr(h, name) == getattr(ref, name), (h, name)
@@ -730,13 +770,13 @@ def test_masks_equal_the_orientation_set_reference():
     heaps = reordered = 0
     for order, mu in small_heap_types():
         for h in enumerate_heaps(order, mu):
-            assert h.lower == OrientedHeap.from_word(order, h.cols).masks, h
+            assert h.lower == OrientedHeap.from_word(order, h.canonical_word).masks, h
         for cls in enumerate_classes(order, mu):
             for h in cls.heaps:
                 _assert_matches_the_reference(h, OrientedHeap.of(h))
                 heaps += 1
                 reordered += list(h.levels) != sorted(h.levels)
-    # the sweep reaches flipped heaps whose ids do not run bottom-up
+    # the sweep reaches flipped heaps whose levels do not rise with the ids
     assert heaps > 20000 and reordered > 1000
 
 

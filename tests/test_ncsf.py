@@ -194,10 +194,12 @@ def test_nc_m_non_integer_weight_is_a_math_error(monkeypatch):
 
 
 def test_unknown_methods_rejected():
-    with pytest.raises(ValueError):
-        nc_h(P233, 2, "magic")
-    with pytest.raises(ValueError):
-        nc_p(P233, 2, "magic")
+    # the empty product included: k = 0 and () return 1 for a known method
+    for k in (2, 0, ()):
+        with pytest.raises(ValueError):
+            nc_h(P233, k, "magic")
+        with pytest.raises(ValueError):
+            nc_p(P233, k, "magic")
     with pytest.raises(ValueError):
         nc_s(P233, (2,), "magic")
 
