@@ -28,21 +28,13 @@ heap as its blocks drop.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from .errors import MathematicalError
-from .heaps import (
-    Heap,
-    HeapClass,
-    descent_free_words,
-    descent_positions,
-    enumerate_classes,
-    inversion_count,
-)
-from .ncsf import enumerate_tableaux, reading_word, unique_sink_words
+from .heaps import Heap, HeapClass, descent_positions, enumerate_classes, inversion_count
 
 # unused here; bound for benchmarks/child.py, which wraps them in this namespace
 from .heaps import enumerate_heaps  # noqa: F401
@@ -55,7 +47,6 @@ from .partitions import (
     partitions,
     revlex_sorted,
     subset_to_composition,
-    word_type,
     z_factor,
 )
 from .posets import UnitIntervalOrder
@@ -553,73 +544,95 @@ def expansion(order: UnitIntervalOrder, mu, basis: str) -> ExpansionReport:
 
 def _pairings(order, mu, basis) -> dict:
     """{lam: <g_lam, Gamma_mu>} over the partitions lam of sum(mu) with a
-    nonzero pairing, where g is the noncommutative h, p or s for basis
-    f, p or s: the sum of q^inv(w) over the words w of type mu that g_lam
-    sums, read off the words without forming a class.
+    nonzero pairing, g the noncommutative h, p or s for basis f, p or s:
+    the sum of q^inv(w) over the words w of type mu that g_lam sums.
 
     Both straightening relations keep a word's type and inversion count,
-    so the pairing factors through u_w -> q^inv(w) x^type(w), which is
-    multiplicative: a word of type t after one of type `used` adds
-    cross(used, t) = sum_b t_b * #{letters a in used: b < a <= m_b}
-    inversions. For f and p the image of g_k, the descent-free
-    (resp. unique-sink) words of length k grouped as type -> {inv:
-    count}, is folded over the parts of lam with states (used type) ->
-    {inv: count} within mu. The states are memoized by prefix of lam, so
-    partitions with a common prefix share them, and the last part only
-    completes a state to mu. For s, q^inv of the reading word is summed
-    over the P-tableaux of shape lam and type mu.
+    and a letter b after a prefix of type `used` adds #{a in used: b < a
+    <= m_b} inversions. So one transfer over states sums the pairing a
+    letter at a time without listing a word, each q-polynomial packed
+    into an int of `width` bits per power of q. The words of h_lam and
+    p_lam are cut into runs of lengths lam_1, lam_2, ...: in a run b may
+    follow a when a <= m_b, and for p only when b is at most the largest
+    bound m_x in the run so far, or b would lie above every earlier
+    letter of the run. s_lam sums the reading words of the P-tableaux of
+    shape lam, whose columns, P-chains of lengths lam', are filled
+    top-down: a column read bottom-up has no inversion, so the order in
+    which its letters are appended does not matter. The prefixes of lam
+    (of lam') are walked depth first, so partitions share their states.
 
     It calls none of _descent_polys, _fundamental_to_monomial, _unpack,
     to_symmetric and in_basis, so the basis change checks it from the
-    outside. The f side still sums over the words whose descents lie
-    among the breakpoints of lam, as the M_lam coefficient of the word
-    route does: a check between two pieces of code. p (unique sinks) and
-    s (P-tableaux) are checks between theorems.
+    outside. The f side sums over the words whose descents lie among the
+    breakpoints of lam, as the M_lam coefficient of the word route does:
+    a check between two pieces of code. p (unique sinks) and s
+    (P-tableaux) are checks between theorems.
     """
-    d = sum(mu)
-    counts: Counter = Counter()  # (lam, inv) -> words
-    if basis == "s":
-        for lam in partitions(d):
-            for t in enumerate_tableaux(order, lam, mu):
-                counts[lam, inversion_count(order, reading_word(t))] += 1
-        return _polys(counts)
-    family = descent_free_words if basis == "f" else unique_sink_words
-    # the image of g_k: type -> inv -> words of length k
-    images = {k: defaultdict(Counter) for k in range(1, d + 1)}
-    for k, image in images.items():
-        for w in family(order, k, mu):
-            image[word_type(w, order.n)][inversion_count(order, w)] += 1
+    n, m, d = order.n, order.m, sum(mu)
+    width = multinomial(mu).bit_length()  # no coefficient exceeds the word count
+    slot = (1 << width) - 1
+    pairings: dict = {}
 
-    def fold(states, image, last):
-        # append every word of the image to every state, within mu; with
-        # last, only the words that complete a state to mu
+    @lru_cache(maxsize=None)
+    def moves(state):
+        """[(letter, next state)] for every letter that may come next."""
+        if basis == "s":
+            # the column grows downwards along a P-chain, and an entry x of
+            # the column on its left needs x <= m_y of the entry y in its row
+            left, col = state
+            return [
+                (y, (left, col + (y,)))
+                for y in range(1, n + 1)
+                if (not col or y > m[col[-1] - 1]) and (not left or left[len(col)] <= m[y - 1])
+            ]
+        last, top = state or (0, 0)
+        return [
+            (b, (b, max(top, m[b - 1]) if basis == "p" else n))
+            for b in range(1, n + 1)
+            if not last or last <= m[b - 1] and b <= top
+        ]
+
+    def step(layer):
+        # layer: used -> state -> packed polynomial
         out: dict = {}
-        for used, polys in states.items():
-            # gain[b-1]: letters of `used` that a later letter b passes
-            gain = [sum(used[b:top]) for b, top in enumerate(order.m, 1)]
-            room = tuple(c - u for c, u in zip(mu, used))
-            for t in (room,) if last else image:
-                tail = image.get(t)
-                if not tail or not all(x <= r for x, r in zip(t, room)):
-                    continue
-                shift = sum(x * g for x, g in zip(t, gain))
-                acc = out.setdefault(tuple(u + x for u, x in zip(used, t)), {})
-                for i, c in polys.items():
-                    for j, c2 in tail.items():
-                        acc[i + j + shift] = acc.get(i + j + shift, 0) + c * c2
+        for used, by_state in layer.items():
+            # letter b with room left -> (used after it, its inversions as a shift)
+            grow = {
+                b: (used[: b - 1] + (used[b - 1] + 1,) + used[b:], sum(used[b:top]) * width)
+                for b, top in enumerate(m, 1)
+                if used[b - 1] < mu[b - 1]
+            }
+            for state, packed in by_state.items():
+                for b, after in moves(state):
+                    if b in grow:
+                        t, shift = grow[b]
+                        acc = out.setdefault(t, {})
+                        acc[after] = acc.get(after, 0) + (packed << shift)
         return out
 
-    memo = {(): {(0,) * order.n: {0: 1}}}  # prefix of lam -> states
+    def walk(parts, rest, layer):
+        if not layer:
+            return
+        if not rest:
+            packed = sum(layer[mu].values())
+            pairings[conjugate(parts) if basis == "s" else parts] = QPoly(
+                [packed >> i * width & slot for i in range(packed.bit_length() // width + 1)]
+            )
+            return
+        if parts and (len(parts) == 1 or parts[-1] < parts[-2]):
+            # the last run or column takes one more letter
+            walk(parts[:-1] + (parts[-1] + 1,), rest - 1, step(layer))
+        # a new run forgets the last one; a new column has it on its left
+        fresh: dict = {}
+        for used, by_state in layer.items():
+            acc = fresh.setdefault(used, {})
+            for state, packed in by_state.items():
+                key = (state[1], ()) if basis == "s" else ()
+                acc[key] = acc.get(key, 0) + packed
+        walk(parts + (1,), rest - 1, step(fresh))
 
-    def states(prefix):
-        if prefix not in memo:
-            memo[prefix] = fold(states(prefix[:-1]), images[prefix[-1]], False)
-        return memo[prefix]
-
-    for lam in partitions(d):
-        for inv, c in fold(states(lam[:-1]), images[lam[-1]], True).get(mu, {}).items():
-            counts[lam, inv] = c
-    return _polys(counts)
+    walk((), d, {(0,) * n: {((), ()): 1}})  # the empty prefix only starts a part
+    return pairings
 
 
 def _two_column_params(lam):
@@ -686,12 +699,11 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
     its rank is one more than the highest top rank among those columns
     (a sink when that is 0), it adds one ascent per such block in a
     larger column, and at rank 2 its lower mask is the OR of those
-    columns' masks. Here a block's id is its drop position, not the
-    (column, position) id of a Heap; the walk compares these masks only
-    with each other. A Heap is built
-    only for the W-component test of a rank <= 2 heap, and for test (C)
-    of a hook candidate whose two rank-2 blocks pass (A) and (B), that
-    is, have equal lower masks (see coeff_e_hook).
+    columns' masks. Block ids run in (column, position) order, as in a
+    Heap, so the blocks of a column so far are a run of bits. A Heap is
+    built only for the W-component test of a rank <= 2 heap, and for
+    test (C) of a hook candidate whose two rank-2 blocks pass (A) and
+    (B), that is, have equal lower masks (see coeff_e_hook).
 
     The walk enters a letter a only when the letters left can follow it
     in a descent-free word, that is, when the lowest run of their
@@ -710,8 +722,8 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
     follow = [tuple(b for b in cols if not below[a] >> b & 1) for a in range(n + 1)]
     room = [0, *mu]
     top = [0] * (n + 1)  # column -> rank of its top block
-    blocks = [0] * (n + 1)  # column -> mask of its blocks
     height = [0] * (n + 1)  # column -> number of its blocks
+    offset = [0, 0, *accumulate(mu)]  # column -> id of its first block
     run_top: dict = {}  # mask of the columns left -> top of their lowest run
     word: list = []
     rank2: list = []  # lower masks of the rank-2 blocks
@@ -731,10 +743,9 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
             if not (h or Heap.from_word(order, word)).forbidden_paths():
                 hooks[k - 1, asc] += 1
 
-    def walk(j, letters, left, k, asc, high):
+    def walk(letters, left, k, asc, high):
         if not left:
             return leaf(k, asc, high)
-        bit = 1 << j
         for a in letters:
             if not room[a]:
                 continue
@@ -749,25 +760,23 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
             if r == 2:
                 under = 0
                 for c in t:
-                    under |= blocks[c]
+                    under |= ((1 << height[c]) - 1) << offset[c]
                 rank2.append(under)
             room[a] -= 1
             word.append(a)
             was = top[a]
             top[a] = r
-            blocks[a] |= bit
             height[a] += 1
             up = sum(map(height.__getitem__, larger[a]))
-            walk(j + 1, follow[a], rest, k + (r == 1), asc + up, r if r > high else high)
+            walk(follow[a], rest, k + (r == 1), asc + up, r if r > high else high)
             height[a] -= 1
-            blocks[a] ^= bit
             top[a] = was
             word.pop()
             room[a] += 1
             if r == 2:
                 rank2.pop()
 
-    walk(0, follow[0], sum(1 << a for a in cols if mu[a - 1]), 0, 0, 0)
+    walk(follow[0], sum(1 << a for a in cols if mu[a - 1]), 0, 0, 0)
     return _EHeapSums(_polys(sinks), _polys(two_column), _polys(hooks))
 
 
@@ -786,6 +795,7 @@ def coeff_e_two_column(order: UnitIntervalOrder, mu, k: int, l: int) -> QPoly:
     """e-coefficient at (2^l, 1^(k-l)): heaps with k rank-1 blocks and
     l rank-2 blocks and no connected component of type W."""
     mu = tuple(mu)
+    check_type(mu, order.n)
     if not k >= l >= 0:
         raise ValueError("need k >= l >= 0")
     out = QPoly()
@@ -814,6 +824,7 @@ def coeff_e_hook(order: UnitIntervalOrder, mu, a: int, l: int) -> QPoly:
     p and r, and (p, q, r) flips.
     """
     mu = tuple(mu)
+    check_type(mu, order.n)
     if a < 1 or l < 1:
         raise ValueError("need a, l >= 1")
     out = QPoly()

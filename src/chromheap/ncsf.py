@@ -14,7 +14,7 @@ flip class, closed on lower masks without building a heap
 The elements here serve the class-identity checks (commutation, the
 p/s method agreements, the height recurrence). `chromatic.expansion`
 pairs f/p/s without them: the pairing reads only a class's type and
-inversion count, which it takes from the words directly.
+inversion count, which a transfer over states sums without any word.
 """
 
 from __future__ import annotations
@@ -164,10 +164,9 @@ def strictly_decreasing_words(order: UnitIntervalOrder, k: int):
     return words((k,) * order.n, k, order.below)
 
 
-def unique_sink_words(order: UnitIntervalOrder, k: int, bound=None):
-    """Descent-free words with no nontrivial left-to-right maximum; with
-    a bound, letter a is used at most bound[a-1] times."""
-    for w in descent_free_words(order, k, bound):
+def unique_sink_words(order: UnitIntervalOrder, k: int):
+    """Descent-free words with no nontrivial left-to-right maximum."""
+    for w in descent_free_words(order, k):
         if not has_nontrivial_ltr_maximum(order, w):
             yield w
 
@@ -287,17 +286,11 @@ def nc_m(order: UnitIntervalOrder, lam) -> NCElement:
 # order-compatible tableaux
 
 
-def enumerate_tableaux(order: UnitIntervalOrder, shape, type_vector=None) -> list:
+def enumerate_tableaux(order: UnitIntervalOrder, shape) -> list:
     """Fillings of the shape with entries in [n] whose rows never step
-    down in the order and whose columns strictly increase in the order.
-
-    With a type vector, only fillings using letter a at most
-    type_vector[a-1] times are produced: exactly that often when the
-    type vector sums to the size of the shape.
-    """
+    down in the order and whose columns strictly increase in the order."""
     shape = tuple(shape)
     rows = [[0] * r for r in shape]
-    counts = list(type_vector) if type_vector is not None else None
     cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
     out = []
 
@@ -307,18 +300,12 @@ def enumerate_tableaux(order: UnitIntervalOrder, shape, type_vector=None) -> lis
             return
         r, c = cells[idx]
         for a in range(1, order.n + 1):
-            if counts is not None and counts[a - 1] == 0:
-                continue
             if c > 0 and order.less(a, rows[r][c - 1]):
                 continue  # row would step down
             if r > 0 and not order.less(rows[r - 1][c], a):
                 continue  # column must strictly increase
             rows[r][c] = a
-            if counts is not None:
-                counts[a - 1] -= 1
             rec(idx + 1)
-            if counts is not None:
-                counts[a - 1] += 1
             rows[r][c] = 0
 
     rec(0)

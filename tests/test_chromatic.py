@@ -639,6 +639,21 @@ def test_sink_sum():
         sink_sum(P233, mu, 0)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: coeff_e_two_column(P233, (1, 1), 1, 0), "length must equal n"),
+        (lambda: coeff_e_hook(P233, (-1, 0, 0), 2, 1), "must be nonnegative"),
+        (lambda: sink_sum(P233, (1, 1), 1), "length must equal n"),
+    ],
+    ids=["two_column", "hook", "sink_sum"],
+)
+def test_e_checks_reject_a_bad_type_of_any_size(call, match):
+    # the type is checked before the size of the shape is compared with it
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_closed_form_path():
     # single path on 4 vertices: one even component
     order = UnitIntervalOrder((2, 3, 4, 4))

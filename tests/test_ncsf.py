@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
+import chromheap.chromatic as chromatic
 import chromheap.ncsf as ncsf
 from chromheap.chromatic import _pairings
 from chromheap.errors import MathematicalError
@@ -29,6 +31,8 @@ from chromheap.heaps import enumerate_classes
 from chromheap.partitions import partitions
 from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly
+from chromheap.symfunc import QSymFunc, SymFunc
+from test_chromatic import orders_and_types
 
 P233 = UnitIntervalOrder((2, 3, 3))
 P24555 = UnitIntervalOrder((2, 4, 5, 5, 5))
@@ -160,13 +164,45 @@ def _bounded_cases():
     "basis, gen", [("f", nc_h), ("p", nc_p), ("s", nc_s)], ids=["nc_h", "nc_p", "nc_s"]
 )
 def test_bounded_generators_pair_like_full_ones(basis, gen):
-    # the fold over words bounded by mu against the pairing of the full
+    # the transfer over states against the pairing of the full
     # noncommutative product, which forms every class
     for order, mu in _bounded_cases():
-        got = _pairings(order, mu, basis)
-        for lam in partitions(sum(mu)):
-            want = pair_gamma(gen(order, lam), mu)
-            assert got.get(lam, QPoly()) == want, (order, mu, lam)
+        _assert_pairings_match_the_products(order, mu, basis, gen)
+
+
+def _assert_pairings_match_the_products(order, mu, basis, gen):
+    got = _pairings(order, mu, basis)
+    for lam in partitions(sum(mu)):
+        want = pair_gamma(gen(order, lam), mu)
+        assert got.get(lam, QPoly()) == want, (order, mu, lam)
+    assert all(got.values()), "a zero pairing is left out"
+
+
+@settings(max_examples=100, deadline=None)
+@given(orders_and_types(max_size=6))
+def test_pairings_match_the_products_on_random_types(case):
+    order, mu = case
+    assume(order.n <= 5)
+    for basis, gen in (("f", nc_h), ("p", nc_p), ("s", nc_s)):
+        _assert_pairings_match_the_products(order, mu, basis, gen)
+
+
+@pytest.mark.parametrize(
+    "order, mu", [(UnitIntervalOrder((2, 3, 4, 5, 6, 6)), (1,) * 6), (P233, (3, 2, 2))]
+)
+def test_pairings_never_take_the_word_route(monkeypatch, order, mu):
+    # the basis change that checks the pairings must not share their code
+    want = {basis: _pairings(order, mu, basis) for basis in "fps"}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pairing took the word route")
+
+    for name in ("_descent_polys", "_fundamental_to_monomial", "_unpack"):
+        monkeypatch.setattr(chromatic, name, refuse)
+    monkeypatch.setattr(QSymFunc, "to_symmetric", refuse)
+    monkeypatch.setattr(SymFunc, "in_basis", refuse)
+    for basis in "fps":
+        assert _pairings(order, mu, basis) == want[basis]
 
 
 def test_s_rejects_non_partition():
@@ -215,14 +251,6 @@ def test_tableaux_frozen_example():
     assert reading_word(good) == (5, 3, 1, 5, 2, 5, 4)
     assert ((1, 2, 5, 4), (4, 5), (5,)) not in tabs
     assert ((1, 2, 5, 3), (3, 5), (5,)) not in tabs
-
-
-def test_tableaux_with_type_vector():
-    tabs = enumerate_tableaux(P233, (3, 1), (1, 1, 2))
-    assert len(tabs) == 2
-    for t in tabs:
-        flat = [a for row in t for a in row]
-        assert sorted(flat) == [1, 2, 3, 3]
 
 
 def test_reading_word_empty():
