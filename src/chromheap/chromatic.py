@@ -1,7 +1,7 @@
 """Chromatic quasisymmetric functions of unit interval orders.
 
 Two independent routes are provided. The oracle walks the proper
-multi-colorings with a finite color supply, only the gapless ones that
+multi-colorings with d = sum(mu) colors, only the gapless ones that
 reach a monomial coefficient, in one plain recursion that carries the
 color use counts and the ascent and descent counts as running ints, each
 statistic on its own formula; one walk tallies both. The word route
@@ -28,10 +28,9 @@ heap as its blocks drop.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import accumulate, combinations
-from typing import NamedTuple
 
 from .errors import MathematicalError
 from .heaps import Heap, HeapClass, descent_positions, enumerate_classes, inversion_count
@@ -197,46 +196,39 @@ def proper_coloring_count(order: UnitIntervalOrder, mu, colors: int) -> int:
     return count
 
 
-def coloring_qsym(
-    order: UnitIntervalOrder, mu, colors: int | None = None, stat: str = "asc"
-) -> QSymFunc:
+def coloring_qsym(order: UnitIntervalOrder, mu, stat: str = "asc") -> QSymFunc:
     """The coloring generating function in the quasisymmetric monomial
-    basis, from brute-force enumeration with a finite color supply.
+    basis, from brute-force enumeration with d = sum(mu) colors.
 
     The coefficient of M_alpha counts the colorings that use color i
     exactly alpha_i times for i = 1..k, so only the gapless colorings
-    (color set {1..k}) reach a coefficient, and only those are walked.
-    One walk tallies both statistics (see _coloring_tally), so the asc
-    and des functions of one instance, asked for one after the other,
-    cost one walk.
+    (color set {1..k}, k <= d) reach a coefficient, and only those are
+    walked. One walk tallies both statistics (see _coloring_tally), so
+    the asc and des functions of one instance, asked for one after the
+    other, cost one walk.
     """
     mu = tuple(mu)
     check_type(mu, order.n)
-    d = sum(mu)
-    if colors is None:
-        colors = d
-    if colors < d:
-        raise ValueError(f"need at least {d} colors to determine the function")
     if stat not in ("asc", "des"):
         raise ValueError(f"unknown statistic {stat!r}")
-    asc, des = _coloring_tally(order, mu, colors)
-    return QSymFunc(d, asc if stat == "asc" else des)
+    asc, des = _coloring_tally(order, mu)
+    return QSymFunc(sum(mu), asc if stat == "asc" else des)
 
 
 @lru_cache(maxsize=1)
-def _coloring_tally(order, mu, colors) -> tuple:
+def _coloring_tally(order, mu) -> tuple:
     """({composition: QPoly in q^ascents}, {composition: QPoly in
-    q^descents}) over the gapless proper colorings, from one walk. The
-    composition of a leaf is the use count of colors 1..top. The cache
-    holds the last instance only, which is all the asc-vs-des pairs in a
-    sweep read back."""
+    q^descents}) over the gapless proper colorings with sum(mu) colors,
+    from one walk. The composition of a leaf is the use count of colors
+    1..top. The cache holds the last instance only, which is all the
+    asc-vs-des pairs in a sweep read back."""
     counts: dict = {}  # (composition, ascents, descents) -> colorings
 
     def leaf(picked, uses, top, asc, des):
         key = (tuple(uses[1 : top + 1]), asc, des)
         counts[key] = counts.get(key, 0) + 1
 
-    _coloring_walk(order, mu, colors, True, leaf)
+    _coloring_walk(order, mu, sum(mu), True, leaf)
     asc: Counter = Counter()  # (composition, ascents) -> colorings
     des: Counter = Counter()
     for (alpha, a, d), c in counts.items():
@@ -245,10 +237,8 @@ def _coloring_tally(order, mu, colors) -> tuple:
     return _polys(asc), _polys(des)
 
 
-def asc_des_symmetry_check(order: UnitIntervalOrder, mu, colors: int | None = None) -> bool:
-    return coloring_qsym(order, mu, colors, "asc") == coloring_qsym(
-        order, mu, colors, "des"
-    )
+def asc_des_symmetry_check(order: UnitIntervalOrder, mu) -> bool:
+    return coloring_qsym(order, mu, "asc") == coloring_qsym(order, mu, "des")
 
 
 # ---------------------------------------------------------------------------
@@ -679,13 +669,12 @@ def _check_e(order, mu, lam, got, what):
     return got
 
 
-class _EHeapSums(NamedTuple):
-    """Sums of q^ascents over the heaps of one type, one q-polynomial per
-    bucket; a heap may fall in all three."""
-
-    sinks: dict  # k -> heaps with k sinks
-    two_column: dict  # (n1, n2) -> rank <= 2 heaps, no W component
-    hooks: dict  # l -> heaps in the hook family for l (l + 1 sinks)
+# Sums of q^ascents over the heaps of one type, one q-polynomial per
+# bucket; a heap may fall in all three. The fields are dicts:
+#   sinks: k -> heaps with k sinks
+#   two_column: (n1, n2) -> rank <= 2 heaps, no W component
+#   hooks: l -> heaps in the hook family for l (l + 1 sinks)
+_EHeapSums = namedtuple("_EHeapSums", "sinks two_column hooks")
 
 
 @lru_cache(maxsize=1)
@@ -891,7 +880,7 @@ def positivity_report(order: UnitIntervalOrder, mu) -> dict:
         omega_cls = _fundamental_to_monomial(d, _complemented(d, counts), width)
         class_reports.append(
             {
-                "representative": "".join(map(str, cls.representative)),
+                "representative": order.word_text(cls.representative),
                 "size": len(cls),
                 "ascents": cls.ascents,
                 "h_positive": omega_cls.to_symmetric().is_positive_in("e"),

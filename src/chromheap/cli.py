@@ -82,7 +82,6 @@ def build_parser() -> _Parser:
         default="all",
         choices=[*SUITES, "all"],
     )
-    p_verify.add_argument("--colors", type=int)
     p_verify.set_defaults(format="pretty")  # names the CHROMHEAP_OUT file
     return parser
 
@@ -166,7 +165,7 @@ def cmd_classes(args) -> int:
         for ci, cls in enumerate(classes):
             entry = {"class": ci, "ascents": cls.ascents, "heaps": []}
             for h in cls.heaps:
-                name = "heap_" + "".join(map(str, h.canonical_word)) + ".svg"
+                name = "heap_" + order.word_text(h.canonical_word) + ".svg"
                 with open(os.path.join(args.svg, name), "w") as f:
                     f.write(heap_svg(h))
                 entry["heaps"].append(name)
@@ -182,10 +181,10 @@ def cmd_classes(args) -> int:
             "heaps": heaps,
             "classes": [
                 {
-                    "representative": "".join(map(str, c.representative)),
+                    "representative": order.word_text(c.representative),
                     "size": len(c),
                     "ascents": c.ascents,
-                    "members": ["".join(map(str, h.canonical_word)) for h in c.heaps],
+                    "members": [order.word_text(h.canonical_word) for h in c.heaps],
                 }
                 for c in classes
             ],
@@ -194,7 +193,7 @@ def cmd_classes(args) -> int:
     else:
         lines = [summary]
         for c in classes:
-            members = " ".join("".join(map(str, h.canonical_word)) for h in c.heaps)
+            members = " ".join(order.word_text(h.canonical_word) for h in c.heaps)
             lines.append(f"  asc={c.ascents} [{members}]")
         text = "\n".join(lines) + "\n"
     _write(args, text)
@@ -205,14 +204,14 @@ def cmd_classes(args) -> int:
 # verify suites
 
 
-def _suite_oracle(order, mu, colors=None):
+def _suite_oracle(order, mu):
     x_words = chromatic_sym(order, mu)
-    asc = coloring_qsym(order, mu, colors)
+    asc = coloring_qsym(order, mu)
     yield "oracle-vs-words", x_words == asc.to_symmetric()
-    yield "asc-vs-des", asc == coloring_qsym(order, mu, colors, "des")
+    yield "asc-vs-des", asc == coloring_qsym(order, mu, "des")
 
 
-def _suite_commutation(order, mu, colors=None):
+def _suite_commutation(order, mu):
     h = order.height
     for k in range(1, h + 1):
         for l in range(k, h + 1):
@@ -222,12 +221,12 @@ def _suite_commutation(order, mu, colors=None):
         yield f"h{k}-relation", nc_h(order, k) == nc_h(order, k, "relation")
 
 
-def _suite_p_equiv(order, mu, colors=None):
+def _suite_p_equiv(order, mu):
     for k in range(1, min(sum(mu), 6) + 1):
         yield f"p{k}-words-vs-relation", nc_p(order, k) == nc_p(order, k, "relation")
 
 
-def _suite_s_equiv(order, mu, colors=None):
+def _suite_s_equiv(order, mu):
     for d in range(1, min(sum(mu), 4) + 1):
         for lam in partitions(d):
             ok = nc_s(order, lam) == nc_s(order, lam, "jacobi_trudi")
@@ -243,12 +242,12 @@ def _run_checked(label, check):
         return label, False
 
 
-def _suite_sinks(order, mu, colors=None):
+def _suite_sinks(order, mu):
     for k in range(1, sum(mu) + 1):
         yield _run_checked(f"sinks-k{k}", lambda k=k: sink_sum(order, mu, k))
 
 
-def _suite_two_column(order, mu, colors=None):
+def _suite_two_column(order, mu):
     d = sum(mu)
     for l in range(0, d // 2 + 1):
         k = d - l
@@ -270,7 +269,7 @@ def _suite_two_column(order, mu, colors=None):
         yield "two-column-closed-form", ok
 
 
-def _suite_hook(order, mu, colors=None):
+def _suite_hook(order, mu):
     d = sum(mu)
     for l in range(1, d - 1):
         a = d - l - 1
@@ -280,7 +279,7 @@ def _suite_hook(order, mu, colors=None):
             )
 
 
-def _suite_hp(order, mu, colors=None):
+def _suite_hp(order, mu):
     h = order.height
     found = False
     for d in range(h, min(sum(mu), 6) + 1):
@@ -294,7 +293,7 @@ def _suite_hp(order, mu, colors=None):
         yield "hp-no-applicable-shape", True
 
 
-def _suite_positivity(order, mu, colors=None):
+def _suite_positivity(order, mu):
     report = positivity_report(order, mu)
     yield "classes-h-positive", report["all_classes_h_positive"]
     yield "x-e-positive", report["e_positive"]
@@ -327,18 +326,12 @@ def cmd_verify(args) -> int:
             for n in range(1, max_n + 1)
             for order in UnitIntervalOrder.all_orders(n)
         ]
-    need = max(sum(mu) for _, mu in instances)
-    if args.colors is not None and args.colors < need:
-        raise UsageError(
-            f"--colors {args.colors} is too few: the largest total size "
-            f"in this run is {need}, so pass at least --colors {need}"
-        )
     lines = []
     failed = False
     for order, mu in instances:
         tag = f"{order.text()}/{','.join(map(str, mu))}"
         for name in names:
-            for label, ok in SUITES[name](order, mu, args.colors):
+            for label, ok in SUITES[name](order, mu):
                 lines.append(f"{'PASS' if ok else 'FAIL'} {tag} {name}:{label}")
                 failed = failed or not ok
     # a run where no check applies writes nothing, not a lone newline

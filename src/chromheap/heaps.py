@@ -493,7 +493,7 @@ class Heap:
         return hash((self.order.m, self.cols, self.lower))
 
     def __repr__(self):
-        return f"Heap({self.order.text()!r}, word={''.join(map(str, self.canonical_word))})"
+        return f"Heap({self.order.text()!r}, word={self.order.word_text(self.canonical_word)})"
 
 
 # ---------------------------------------------------------------------------

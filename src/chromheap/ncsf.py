@@ -147,7 +147,7 @@ class NCElement:
         """Deterministic debug listing, one 'word: coefficient' per line."""
         lines = []
         for w in sorted(self.terms):
-            lines.append(f"{''.join(map(str, w))}: {self.terms[w]}")
+            lines.append(f"{self.order.word_text(w)}: {self.terms[w]}")
         return "\n".join(lines)
 
     def __repr__(self):
@@ -182,6 +182,8 @@ def nc_e(order: UnitIntervalOrder, k) -> NCElement:
         for part in k:
             out = out * nc_e(order, part)
         return out
+    if k < 0:
+        raise ValueError(f"negative degree {k}")
     if k == 0:
         return NCElement.one(order)
     words = strictly_decreasing_words(order, k)
@@ -201,6 +203,8 @@ def nc_h(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
         for part in k:
             out = out * nc_h(order, part, method)
         return out
+    if k < 0:
+        raise ValueError(f"negative degree {k}")
     if k == 0:
         return NCElement.one(order)
     if method == "words":
@@ -230,6 +234,8 @@ def nc_p(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
         for part in k:
             out = out * nc_p(order, part, method)
         return out
+    if k < 0:
+        raise ValueError(f"negative degree {k}")
     if k == 0:
         return NCElement.one(order)
     if method == "words":

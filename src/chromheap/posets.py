@@ -99,6 +99,11 @@ class UnitIntervalOrder:
     def text(self) -> str:
         return ",".join(str(x) for x in self.m)
 
+    def word_text(self, w) -> str:
+        """A word over [n] as text: the letters run together when n <= 9
+        and are joined with '-' from n = 10 on, so no two words print alike."""
+        return ("-" if self.n >= 10 else "").join(map(str, w))
+
     def less(self, i: int, j: int) -> bool:
         """True when i precedes j in the order."""
         return i < j and self.m[i - 1] < j

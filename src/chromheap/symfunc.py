@@ -272,7 +272,7 @@ class SymFunc:
         clean = {}
         for lam, c in (terms or {}).items():
             lam = tuple(lam)
-            if sum(lam) != degree:
+            if sum(lam) != degree or any(p <= 0 for p in lam):
                 raise ValueError(f"{lam} is not a partition of {degree}")
             if tuple(sorted(lam, reverse=True)) != lam:
                 raise ValueError(f"{lam} is not weakly decreasing")

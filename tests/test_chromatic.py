@@ -184,18 +184,6 @@ def test_an_all_zero_type_is_rejected(call):
         call((0, 0, 0))
 
 
-def test_coloring_qsym_needs_enough_colors():
-    with pytest.raises(ValueError):
-        coloring_qsym(P233, (1, 1, 2), colors=3)
-
-
-def test_oracle_color_supply_irrelevant():
-    mu = (1, 1, 2)
-    a = coloring_qsym(P233, mu, colors=4).to_symmetric()
-    b = coloring_qsym(P233, mu, colors=5).to_symmetric()
-    assert a == b
-
-
 # ---------------------------------------------------------------------------
 # word route agrees with the oracle
 
@@ -336,11 +324,12 @@ def test_gapless_colorings_match_the_filtered_stream(case, extra):
         stat: _coloring_qsym_by_monomials(order, mu, colors, stat)
         for stat in ("asc", "des")
     }
+    # the reference takes sum(mu) + extra colors, the oracle sum(mu)
     for first, second in (("asc", "des"), ("des", "asc")):
         _coloring_tally.cache_clear()
         # the first call walks, the second reads the tally of that walk
-        assert coloring_qsym(order, mu, colors, first) == want[first]
-        assert coloring_qsym(order, mu, colors, second) == want[second]
+        assert coloring_qsym(order, mu, first) == want[first]
+        assert coloring_qsym(order, mu, second) == want[second]
 
 
 def test_gapless_colorings_edge_cases():

@@ -65,9 +65,10 @@ def test_unparsable_type_vector_is_a_usage_error(capsys):
     assert err == "error: cannot parse type vector 'a,b,c'\n"
 
 
-def test_expand_has_no_colors_flag(capsys):
-    code, _, err = run(capsys, "expand", "--poset", "2,3,3", "--colors", "5")
-    assert code == 1 and "--colors" in err
+@pytest.mark.parametrize("command", ["expand", "verify"])
+def test_expand_has_no_colors_flag(capsys, command):
+    code, out, err = run(capsys, command, "--poset", "2,3,3", "--colors", "5")
+    assert (code, out) == (1, "") and "--colors" in err
 
 
 def _not_symmetric(d, by_mask, width):
@@ -232,6 +233,21 @@ def test_classes_svg(tmp_path, capsys):
     assert len(index) == 4
 
 
+def test_classes_words_print_apart_from_n_10_on(tmp_path, capsys):
+    # run together, the words 1,1,11 / 1,11,1 / 11,1,1 would all read 1111
+    poset, mu = ",".join(["11"] * 11), "2" + ",0" * 9 + ",1"
+    argv = ("classes", "--poset", poset, "--mu", mu)
+    code, out, _ = run(capsys, *argv, "--format", "json", "--svg", str(tmp_path))
+    assert code == 0
+    members = [w for c in json.loads(out)["classes"] for w in c["members"]]
+    assert sorted(members) == ["1-1-11", "1-11-1", "11-1-1"]
+    assert sorted(f for f in os.listdir(tmp_path) if f.endswith(".svg")) == [
+        f"heap_{w}.svg" for w in sorted(members)
+    ]
+    pretty = run(capsys, *argv)[1]
+    assert all(f"[{w}]" in pretty for w in members), pretty
+
+
 def test_expand_pretty_and_determinism(capsys):
     code, out1, _ = run(capsys, "expand", "--poset", "2,3,3", "--mu", "1,1,2")
     assert code == 0
@@ -342,31 +358,10 @@ def test_verify_max_n_must_be_positive(capsys, command, value):
     assert err == "error: --max-n must be at least 1\n"
 
 
-@pytest.mark.parametrize(
-    "argv, need",
-    [
-        (["--max-n", "4", "--colors", "3"], 4),
-        (["--poset", "2,3,3", "--mu", "3,2,2", "--colors", "6"], 7),
-    ],
-)
-def test_verify_checks_colors_before_any_suite(capsys, argv, need):
-    code, out, err = run(capsys, "verify", "--suite", "oracle", *argv)
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and f"--colors {need}" in err
-
-
 def test_verify_with_no_applicable_check_writes_nothing(capsys):
     # no hook (a+1, 1^l) with a, l >= 1 has fewer than 3 cells
     code, out, err = run(capsys, "verify", "--suite", "hook", "--max-n", "2")
     assert (code, out, err) == (0, "", "")
-
-
-def test_verify_accepts_enough_colors(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--suite", "oracle", "--max-n", "3", "--colors", "3"
-    )
-    assert code == 0
-    assert out.count("PASS") == 16 and "FAIL" not in out
 
 
 # SHA-256 of stdout, taken before the oracle enumerated only gapless
@@ -396,15 +391,6 @@ def test_verify_output_is_frozen(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_VERIFY[argv]
 
 
-def test_a_huge_color_supply_gives_the_default_output(capsys):
-    """A gapless coloring uses at most sum(mu) colors, so any larger
-    supply walks the same colorings."""
-    argv = ("verify", "--suite", "oracle", "--poset", "2,3,3", "--mu", "3,2,2")
-    code, out, err = run(capsys, *argv, "--colors", str(10**20))
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_VERIFY[argv]
-
-
 def test_per_instance_caches_hold_one_instance(capsys):
     caches = (chromatic._e_coefficients, chromatic._e_heap_sums)
     for cache in (heaps._enumerate_heaps, *caches):
@@ -422,7 +408,7 @@ def test_per_instance_caches_hold_one_instance(capsys):
 @st.composite
 def cheap_argv(draw):
     """expand, classes or verify on one order with n <= 3 and mu entries
-    <= 2, with --colors and --max-n drawn from edge values."""
+    <= 2, with --max-n drawn from edge values."""
     n = draw(st.integers(1, 3))
     order = draw(st.sampled_from(list(UnitIntervalOrder.all_orders(n))))
     argv = [draw(st.sampled_from(["expand", "classes", "verify"])), "--poset", order.text()]
@@ -433,10 +419,6 @@ def cheap_argv(draw):
         argv += ["--basis", draw(st.sampled_from("fpsemh"))]
     elif argv[0] == "verify":
         argv += ["--suite", draw(st.sampled_from([*cli.SUITES, "all"]))]
-    d = n if mu is None else sum(mu)
-    colors = draw(st.sampled_from([None, -1, 0, d, 10**20]))
-    if colors is not None:
-        argv += ["--colors", str(colors)]
     max_n = draw(st.sampled_from([None, 0, 1, 5]))
     if max_n is not None:
         argv += ["--max-n", str(max_n)]
@@ -445,7 +427,6 @@ def cheap_argv(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(cheap_argv())
-@example(["verify", "--suite", "oracle", "--poset", "2,3,3", "--colors", str(10**20)])
 # a table of 2^69 descent masks overflows at once, before any allocation
 @example(["expand", "--poset", "1", "--mu", "70", "--max-n", "70", "--basis", "m"])
 def test_cli_never_raises(argv):
@@ -683,8 +664,8 @@ def test_classes_json_is_byte_deterministic():
 
 def test_cli_import_pulls_in_no_class_boilerplate_modules():
     """Each call is a fresh interpreter, so importing the CLI must not drag
-    in dataclasses and the inspect chain behind it. Only modules that the
-    import itself adds count, not those a site hook preloads."""
+    in dataclasses and the inspect chain behind it, nor typing. The child
+    runs with -S, so no site hook can preload a module and hide its import."""
     code = (
         "import sys, json; before = set(sys.modules); import chromheap.cli; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
@@ -694,9 +675,9 @@ def test_cli_import_pulls_in_no_class_boilerplate_modules():
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, check=True
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, check=True
     )
     added = set(json.loads(done.stdout))
     assert "chromheap.cli" in added
-    banned = {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
+    banned = {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "typing"}
     assert not added & banned, sorted(added & banned)

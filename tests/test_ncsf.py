@@ -229,6 +229,16 @@ def test_nc_m_non_integer_weight_is_a_math_error(monkeypatch):
     assert isinstance(exc.value, ArithmeticError)
 
 
+@pytest.mark.parametrize(
+    "gen, method",
+    [(nc_e, None), (nc_h, "words"), (nc_h, "relation"), (nc_p, "words"), (nc_p, "relation")],
+)
+def test_a_negative_degree_is_rejected(gen, method):
+    for k in (-1, (2, -1)):
+        with pytest.raises(ValueError, match="negative degree"):
+            gen(P233, k) if method is None else gen(P233, k, method)
+
+
 def test_unknown_methods_rejected():
     # the empty product included: k = 0 and () return 1 for a known method
     for k in (2, 0, ()):

@@ -235,6 +235,9 @@ def test_symfunc_validation():
         SymFunc(3, {(2,): 1})
     with pytest.raises(ValueError):
         SymFunc(3, {(1, 2): 1})
+    for lam in ((2, 0), (3, -1), (0,)):
+        with pytest.raises(ValueError, match="is not a partition"):
+            SymFunc(sum(lam), {lam: 1})
 
 
 def test_basis_round_trips():
