@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from .errors import MathematicalError
 from .heaps import Heap, HeapClass, descent_positions, enumerate_classes, inversion_count
+from .heaps import _drop_tables
 
 # unused here; bound for benchmarks/child.py, which wraps them in this namespace
 from .heaps import enumerate_heaps  # noqa: F401
@@ -683,16 +684,17 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
     words of its heaps, for every theorem-side e check. It reads the
     heaps alone, never the basis change.
 
-    Each block is read as it drops, as in heaps._drop: its lower
-    blocks are the earlier blocks of the columns touching its own. So
-    its rank is one more than the highest top rank among those columns
-    (a sink when that is 0), it adds one ascent per such block in a
-    larger column, and at rank 2 its lower mask is the OR of those
-    columns' masks. Block ids run in (column, position) order, as in a
-    Heap, so the blocks of a column so far are a run of bits. A Heap is
-    built only for the W-component test of a rank <= 2 heap, and for
-    test (C) of a hook candidate whose two rank-2 blocks pass (A) and
-    (B), that is, have equal lower masks (see coeff_e_hook).
+    Each block is read as it drops, as in heaps._drop and from the same
+    tables (heaps._drop_tables): its lower mask is the blocks dropped so
+    far in the columns touching its own. So its rank is one more than
+    the highest top rank among those columns (a sink when that is 0),
+    and its ascents are its lower blocks past the end of its column, as
+    in Heap.ascents. The walk keeps the lower masks of the rank-2
+    blocks, and a Heap is built from the walk's own masks, never by
+    dropping a word again, only for the W-component test of a rank <= 2
+    heap, and for test (C) of a hook candidate whose two rank-2 blocks
+    pass (A) and (B), that is, have equal lower masks (see
+    coeff_e_hook).
 
     The walk enters a letter a only when the letters left can follow it
     in a descent-free word, that is, when the lowest run of their
@@ -704,17 +706,16 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
     """
     check_type(mu, order.n)
     d, n = sum(mu), order.n
-    cols = range(1, n + 1)
+    alphabet = range(1, n + 1)
     below = order.below
-    touching = [tuple(c for c in cols if t >> c & 1) for t in order.touch]
-    larger = [tuple(c for c in t if c > a) for a, t in enumerate(touching)]
-    follow = [tuple(b for b in cols if not below[a] >> b & 1) for a in range(n + 1)]
+    touching = [tuple(c for c in alphabet if t >> c & 1) for t in order.touch]
+    follow = [tuple(b for b in alphabet if not below[a] >> b & 1) for a in range(n + 1)]
+    cols, first, near = _drop_tables(order, mu)
+    end = [f + x for f, x in zip(first, (0, *mu))]  # column -> id past its top
     room = [0, *mu]
     top = [0] * (n + 1)  # column -> rank of its top block
-    height = [0] * (n + 1)  # column -> number of its blocks
-    offset = [0, 0, *accumulate(mu)]  # column -> id of its first block
     run_top: dict = {}  # mask of the columns left -> top of their lowest run
-    word: list = []
+    lower = [0] * d  # block -> blocks directly below it, as it drops
     rank2: list = []  # lower masks of the rank-2 blocks
     sinks: Counter = Counter()  # (bucket, ascents) -> heaps
     two_column: Counter = Counter()
@@ -723,16 +724,16 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
     def leaf(k, asc, high):
         sinks[k, asc] += 1
         n2 = len(rank2)
-        h = Heap.from_word(order, word) if high <= 2 else None
+        h = Heap(order, cols, lower) if high <= 2 else None
         if h and all(h.component_type(c) != "W" for c in h.components):
             two_column[(d - n2, n2), asc] += 1
         if k > 1 and n2 == 1:
             hooks[k - 1, asc] += 1
         elif k > 1 and n2 == 2 and rank2[0] == rank2[1]:
-            if not (h or Heap.from_word(order, word)).forbidden_paths():
+            if not (h or Heap(order, cols, lower)).forbidden_paths():
                 hooks[k - 1, asc] += 1
 
-    def walk(letters, left, k, asc, high):
+    def walk(letters, left, k, asc, high, dropped):
         if not left:
             return leaf(k, asc, high)
         for a in letters:
@@ -741,31 +742,27 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
             rest = left ^ 1 << a if room[a] == 1 else left
             if rest:
                 if rest not in run_top:
-                    run_top[rest] = order.runs(c for c in cols if rest >> c & 1)[0][-1]
+                    run_top[rest] = order.runs(c for c in alphabet if rest >> c & 1)[0][-1]
                 if below[a] >> run_top[rest] & 1:
                     continue
-            t = touching[a]
-            r = 1 + max(map(top.__getitem__, t))
+            r = 1 + max(map(top.__getitem__, touching[a]))
+            b = first[a]
+            under = lower[b] = dropped & near[a]
             if r == 2:
-                under = 0
-                for c in t:
-                    under |= ((1 << height[c]) - 1) << offset[c]
                 rank2.append(under)
             room[a] -= 1
-            word.append(a)
+            first[a] = b + 1
             was = top[a]
             top[a] = r
-            height[a] += 1
-            up = sum(map(height.__getitem__, larger[a]))
-            walk(follow[a], rest, k + (r == 1), asc + up, r if r > high else high)
-            height[a] -= 1
+            up = (under >> end[a]).bit_count()
+            walk(follow[a], rest, k + (r == 1), asc + up, r if r > high else high, dropped | 1 << b)
             top[a] = was
-            word.pop()
+            first[a] = b
             room[a] += 1
             if r == 2:
                 rank2.pop()
 
-    walk(follow[0], sum(1 << a for a in cols if mu[a - 1]), 0, 0, 0)
+    walk(follow[0], sum(1 << a for a in alphabet if mu[a - 1]), 0, 0, 0, 0)
     return _EHeapSums(_polys(sinks), _polys(two_column), _polys(hooks))
 
 

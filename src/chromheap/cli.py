@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .chromatic import (
     chromatic_sym,
@@ -202,49 +203,54 @@ def cmd_classes(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify suites
+#
+# Each suite yields (label, check) pairs, and cmd_verify runs every check
+# through _run_checked. A value that two checks share is computed once
+# (functools.cache); a failure is raised again for the second check.
+
+
+def _run_checked(check) -> bool:
+    """Run one check: it fails when it returns False or raises a
+    MathematicalError, and passes otherwise (whatever else it returns)."""
+    try:
+        return check() is not False
+    except MathematicalError:
+        return False
 
 
 def _suite_oracle(order, mu):
-    x_words = chromatic_sym(order, mu)
-    asc = coloring_qsym(order, mu)
-    yield "oracle-vs-words", x_words == asc.to_symmetric()
-    yield "asc-vs-des", asc == coloring_qsym(order, mu, "des")
+    asc = cache(lambda: coloring_qsym(order, mu))
+    yield "oracle-vs-words", lambda: chromatic_sym(order, mu) == asc().to_symmetric()
+    yield "asc-vs-des", lambda: asc() == coloring_qsym(order, mu, "des")
 
 
 def _suite_commutation(order, mu):
     h = order.height
     for k in range(1, h + 1):
         for l in range(k, h + 1):
-            ok = nc_e(order, k) * nc_e(order, l) == nc_e(order, l) * nc_e(order, k)
-            yield f"e{k}-e{l}-commute", ok
+            yield f"e{k}-e{l}-commute", lambda k=k, l=l: (
+                nc_e(order, k) * nc_e(order, l) == nc_e(order, l) * nc_e(order, k)
+            )
     for k in range(1, min(sum(mu), 6) + 1):
-        yield f"h{k}-relation", nc_h(order, k) == nc_h(order, k, "relation")
+        yield f"h{k}-relation", lambda k=k: nc_h(order, k) == nc_h(order, k, "relation")
 
 
 def _suite_p_equiv(order, mu):
     for k in range(1, min(sum(mu), 6) + 1):
-        yield f"p{k}-words-vs-relation", nc_p(order, k) == nc_p(order, k, "relation")
+        yield f"p{k}-words-vs-relation", lambda k=k: nc_p(order, k) == nc_p(order, k, "relation")
 
 
 def _suite_s_equiv(order, mu):
     for d in range(1, min(sum(mu), 4) + 1):
         for lam in partitions(d):
-            ok = nc_s(order, lam) == nc_s(order, lam, "jacobi_trudi")
-            yield f"s{list(lam)}-tableaux-vs-jt", ok
-
-
-def _run_checked(label, check):
-    """Run one check: it fails when it returns False or raises a
-    MathematicalError, and passes otherwise (whatever else it returns)."""
-    try:
-        return label, check() is not False
-    except MathematicalError:
-        return label, False
+            yield f"s{list(lam)}-tableaux-vs-jt", lambda lam=lam: (
+                nc_s(order, lam) == nc_s(order, lam, "jacobi_trudi")
+            )
 
 
 def _suite_sinks(order, mu):
     for k in range(1, sum(mu) + 1):
-        yield _run_checked(f"sinks-k{k}", lambda k=k: sink_sum(order, mu, k))
+        yield f"sinks-k{k}", lambda k=k: sink_sum(order, mu, k)
 
 
 def _suite_two_column(order, mu):
@@ -252,21 +258,19 @@ def _suite_two_column(order, mu):
     for l in range(0, d // 2 + 1):
         k = d - l
         if k >= l:
-            yield _run_checked(
-                f"two-column-k{k}-l{l}",
-                lambda k=k, l=l: coeff_e_two_column(order, mu, k, l),
-            )
-    if mu == (1,) * order.n and order.triangle_free:
+            yield f"two-column-k{k}-l{l}", lambda k=k, l=l: coeff_e_two_column(order, mu, k, l)
+
+    def closed_form():
         report = expansion(order, mu, "e")
-        ok = True
         for lam in partitions(d):
-            if any(p > 2 for p in lam):
-                continue
-            want = closed_form_two_column(order, lam)
-            got = report.coefficients.get(lam, QPoly())
-            if got != want or not got.is_unimodal():
-                ok = False
-        yield "two-column-closed-form", ok
+            if max(lam) <= 2:
+                got = report.coefficients.get(lam, QPoly())
+                if got != closed_form_two_column(order, lam) or not got.is_unimodal():
+                    return False
+        return True
+
+    if mu == (1,) * order.n and order.triangle_free:
+        yield "two-column-closed-form", closed_form
 
 
 def _suite_hook(order, mu):
@@ -274,9 +278,7 @@ def _suite_hook(order, mu):
     for l in range(1, d - 1):
         a = d - l - 1
         if a >= 1:
-            yield _run_checked(
-                f"hook-a{a}-l{l}", lambda a=a, l=l: coeff_e_hook(order, mu, a, l)
-            )
+            yield f"hook-a{a}-l{l}", lambda a=a, l=l: coeff_e_hook(order, mu, a, l)
 
 
 def _suite_hp(order, mu):
@@ -286,17 +288,15 @@ def _suite_hp(order, mu):
         for lam in partitions(d):
             if len(lam) >= h:
                 found = True
-                yield _run_checked(
-                    f"hp-{list(lam)}", lambda lam=lam: hp_recurrence_check(order, lam)
-                )
+                yield f"hp-{list(lam)}", lambda lam=lam: hp_recurrence_check(order, lam)
     if not found:
-        yield "hp-no-applicable-shape", True
+        yield "hp-no-applicable-shape", lambda: True
 
 
 def _suite_positivity(order, mu):
-    report = positivity_report(order, mu)
-    yield "classes-h-positive", report["all_classes_h_positive"]
-    yield "x-e-positive", report["e_positive"]
+    report = cache(lambda: positivity_report(order, mu))
+    yield "classes-h-positive", lambda: report()["all_classes_h_positive"]
+    yield "x-e-positive", lambda: report()["e_positive"]
 
 
 SUITES = {
@@ -331,7 +331,8 @@ def cmd_verify(args) -> int:
     for order, mu in instances:
         tag = f"{order.text()}/{','.join(map(str, mu))}"
         for name in names:
-            for label, ok in SUITES[name](order, mu):
+            for label, check in SUITES[name](order, mu):
+                ok = _run_checked(check)
                 lines.append(f"{'PASS' if ok else 'FAIL'} {tag} {name}:{label}")
                 failed = failed or not ok
     # a run where no check applies writes nothing, not a lone newline

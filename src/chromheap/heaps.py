@@ -9,25 +9,27 @@ reading order, and the words of a heap are its linear extensions.
 
 A block is named by its column and its position in that column, as in
 Viennot's heaps of pieces, and every heap numbers its blocks in that
-(column, position) order; one drop (_drop) builds the masks of a word.
-A Heap stores its orientation as one bitmask per block, the blocks
-directly below it, and reads ranks, sinks, covers, ascents and words
-off these masks; covers take one step, because the touch graph on
-blocks is chordal (see Heap.covers); components depend on the columns
-alone. A local flip reverses the two edges of a flippable triple and
-keeps the block ids, so all the words of a heap, and all the heaps of a
-flip class, share one numbering and are told apart by their masks.
+(column, position) order (_drop_tables); one drop (_drop) builds the
+masks of a word. A Heap stores its orientation as one bitmask per
+block, the blocks directly below it, and reads ranks, sinks, covers,
+ascents and words off these masks; covers take one step, because the
+touch graph on blocks is chordal (see _cover_masks); components depend
+on the columns alone. A local flip reverses the two edges of a
+flippable triple and keeps the block ids, so all the words of a heap,
+and all the heaps of a flip class, share one numbering and are told
+apart by their masks.
 
-Flip classes are closed on plain mask tuples (_flip_class): each
-member's canonical word comes from a lowest-bit walk and its flips from
-three mask XORs. Heap objects are built only for the members that
-flip_closure and enumerate_classes return.
+Flip classes are closed on plain mask tuples (_flip_class), with the
+covers (_cover_masks), triples (_triples) and flips (_flipped, three
+mask XORs) that a Heap uses too; each member's canonical word comes
+from a lowest-bit walk. Heap objects are built only for the members
+that flip_closure and enumerate_classes return.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .partitions import check_type, word_type, words
 
@@ -140,30 +142,43 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _drop_tables(order: UnitIntervalOrder, mu) -> tuple:
+    """(cols, first, near) for the blocks of type mu in (column,
+    position) order: cols is the column of each id, sorted; first[a] is
+    the least id of column a (a fresh list, which a drop advances), and
+    near[a] the mask of the ids in the columns touching a. Only the
+    columns present are visited: those touching a run from the lowest
+    set bit of touch[a] to its highest (bounds increase), so their ids
+    are one range of cols.
+    """
+    cols = tuple(a for a, x in enumerate(mu, 1) for _ in range(x))
+    touch = order.touch
+    first = [0] * (order.n + 1)
+    near = [0] * (order.n + 1)
+    for a, x in enumerate(mu, 1):
+        if x:
+            first[a] = bisect_left(cols, a)
+            t = touch[a]
+            lo = bisect_left(cols, (t & -t).bit_length() - 1)
+            near[a] = (1 << bisect_right(cols, t.bit_length() - 1)) - (1 << lo)
+    return cols, first, near
+
+
 def _drop(order: UnitIntervalOrder, word) -> tuple:
     """(cols, lower) of the heap of a word over 1..n, dropped in reading
-    order. Ids run in (column, position) order: cols is the sorted word,
-    and the i-th block from the bottom of column a gets the id after the
+    order. Ids run in (column, position) order (see _drop_tables), and
+    the i-th block from the bottom of column a gets the id after the
     blocks of smaller columns and the i - 1 below it in a. A block's
     lower blocks are those dropped before it in the columns touching
     its own.
 
-    Heap.from_word and _flip_class both drop here. The test reference
-    OrientedHeap.from_word orients every pair of letters on its own and
-    must not call this, so that it checks the drop independently.
+    Heap.from_word and _flip_class drop here, chromatic._e_heap_sums
+    from the same tables. The test reference OrientedHeap.from_word
+    orients every pair of letters on its own and must not call this, so
+    that it checks the drop independently.
     """
-    cols = tuple(sorted(word))
-    d = len(cols)
-    touch = order.touch
-    first = {}  # column -> its least id, then its next id while dropping
-    near = {}  # column -> ids in the columns touching it
-    for b in range(d - 1, -1, -1):
-        first[cols[b]] = b
-    for b, a in enumerate(cols):
-        for c in first:
-            if touch[a] >> c & 1:
-                near[c] = near.get(c, 0) | 1 << b
-    lower = [0] * d
+    cols, first, near = _drop_tables(order, word_type(word, order.n))
+    lower = [0] * len(cols)
     dropped = 0
     for a in word:
         b = first[a]
@@ -171,6 +186,80 @@ def _drop(order: UnitIntervalOrder, word) -> tuple:
         lower[b] = dropped & near[a]
         dropped |= 1 << b
     return cols, tuple(lower)
+
+
+def _cover_masks(lower) -> tuple:
+    """(covers, above) of a heap's lower masks: covers[b] is the mask of
+    the blocks b covers in the heap order, its lower blocks that are
+    lower blocks of none of its other lower blocks, and above[b] the
+    mask of the blocks covering b.
+
+    One step suffices. Suppose u lies below b through a longer
+    chain u -> x_1 -> ... -> b while u is also a lower block of b.
+    The chain and the edge u-b form a cycle in the touch graph on
+    blocks. That graph is the incomparability graph of the order
+    with each vertex blown up to a clique, and the incomparability
+    graph of a unit interval order is chordal, so the touch graph
+    is chordal too. The cycle therefore has a chord, and since the
+    orientation is acyclic each chord points up the chain and
+    shortens it. So the shortest such chain is u -> x -> b, with x
+    a lower block of b and u a lower block of x.
+    """
+    covers = []
+    above = [0] * len(lower)
+    for b, below in enumerate(lower):
+        deeper = 0
+        m = below
+        while m:
+            low = m & -m
+            deeper |= lower[low.bit_length() - 1]
+            m ^= low
+        m = below & ~deeper
+        covers.append(m)
+        while m:
+            low = m & -m
+            above[low.bit_length() - 1] |= 1 << b
+            m ^= low
+    return covers, above
+
+
+def _triples(covers, above) -> list:
+    """Flippable triples (p, q, r) with p < r, from _cover_masks: q
+    covers both p and r, or is covered by both.
+
+    The blocks covering q, like the blocks q covers, form an antichain
+    of the heap order, and blocks whose columns touch are comparable.
+    So p and r sit in distinct comparable columns, p < r puts the
+    column of p first, and every pair of one group gives a triple.
+    """
+    out = []
+    for groups in (covers, above):
+        for q, group in enumerate(groups):
+            if not group & group - 1:
+                continue  # fewer than two blocks
+            while group:
+                low = group & -group
+                group ^= low
+                p = low.bit_length() - 1
+                rest = group
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    out.append((p, q, low.bit_length() - 1))
+    return out
+
+
+def _flipped(lower, triple) -> tuple:
+    """The lower masks after flipping a triple (p, q, r): each of the
+    edges p-q and q-r moves its bit to the other end's mask, three mask
+    XORs; the block ids stay."""
+    p, q, r = triple
+    out = list(lower)
+    bit_q = 1 << q
+    out[p] ^= bit_q
+    out[r] ^= bit_q
+    out[q] ^= 1 << p | 1 << r
+    return tuple(out)
 
 
 class Heap:
@@ -276,31 +365,8 @@ class Heap:
     @cached_property
     def covers(self) -> tuple:
         """For each block, the mask of the blocks it covers in the heap
-        order: its lower blocks that are lower blocks of none of its
-        other lower blocks.
-
-        One step suffices. Suppose u lies below b through a longer
-        chain u -> x_1 -> ... -> b while u is also a lower block of b.
-        The chain and the edge u-b form a cycle in the touch graph on
-        blocks. That graph is the incomparability graph of the order
-        with each vertex blown up to a clique, and the incomparability
-        graph of a unit interval order is chordal, so the touch graph
-        is chordal too. The cycle therefore has a chord, and since the
-        orientation is acyclic each chord points up the chain and
-        shortens it. So the shortest such chain is u -> x -> b, with x
-        a lower block of b and u a lower block of x.
-        """
-        lower = self.lower
-        out = []
-        for below in lower:
-            deeper = 0
-            m = below
-            while m:
-                low = m & -m
-                deeper |= lower[low.bit_length() - 1]
-                m ^= low
-            out.append(below & ~deeper)
-        return tuple(out)
+        order, taken in one step (see _cover_masks)."""
+        return tuple(_cover_masks(self.lower)[0])
 
     @cached_property
     def canonical_word(self) -> tuple:
@@ -349,28 +415,10 @@ class Heap:
 
     def flippable_triples(self) -> list:
         """Triples (p, q, r) with q covering both p and r, or covered by
-        both, normalized so that the column of p is smaller.
-
-        The blocks covering q, like the blocks q covers, form an
-        antichain of the heap order, and blocks whose columns touch are
-        comparable. So p and r sit in distinct comparable columns, and
-        every pair of one group gives a triple.
-        """
+        both, normalized so that the column of p is smaller (see
+        _triples)."""
         cols = self.cols
-        covers = self.covers
-        above = [0] * self.size  # blocks covering each block
-        for b, below in enumerate(covers):
-            for u in _bits(below):
-                above[u] |= 1 << b
-        out = []
-        for q in range(self.size):
-            for group in (covers[q], above[q]):
-                if not group & group - 1:
-                    continue  # fewer than two blocks
-                for p in _bits(group):
-                    for r in _bits(group):
-                        if cols[p] < cols[r]:
-                            out.append((p, q, r))
+        out = _triples(*_cover_masks(self.lower))
         out.sort(key=lambda t: (cols[t[0]], cols[t[1]], cols[t[2]], t))
         return out
 
@@ -383,15 +431,9 @@ class Heap:
         return self._flip(triple)
 
     def _flip(self, triple) -> "Heap":
-        """flip without the check that the triple is flippable. Each of
-        the edges p-q and q-r moves its bit to the other end's mask; the
-        block ids stay."""
-        p, q, r = triple
-        lower = list(self.lower)
-        for u, v in ((p, q), (q, r)):
-            lower[u] ^= 1 << v
-            lower[v] ^= 1 << u
-        return Heap(self.order, self.cols, lower)
+        """flip without the check that the triple is flippable (see
+        _flipped)."""
+        return Heap(self.order, self.cols, _flipped(self.lower, triple))
 
     @cached_property
     def components(self) -> tuple:
@@ -502,14 +544,9 @@ class Heap:
 
 def enumerate_heaps(order: UnitIntervalOrder, mu) -> tuple:
     """All heaps of the given type, sorted by canonical word."""
-    return _enumerate_heaps(order, tuple(mu))
-
-
-@lru_cache(maxsize=1)
-def _enumerate_heaps(order, mu):
+    mu = tuple(mu)
     check_type(mu, order.n)
-    canonical = descent_free_words(order, sum(mu), mu)
-    return tuple(Heap.from_word(order, w) for w in canonical)
+    return tuple(Heap.from_word(order, w) for w in descent_free_words(order, sum(mu), mu))
 
 
 def _flip_class(order: UnitIntervalOrder, word) -> list:
@@ -518,9 +555,9 @@ def _flip_class(order: UnitIntervalOrder, word) -> list:
 
     The word is dropped once (_drop). Flips keep the block ids, so two
     members are the same heap exactly when their masks are equal. Each
-    member then takes one pass: its covers (as in Heap.covers), the
-    blocks covering each block, its canonical word, and the masks of
-    its flips.
+    member then takes one pass: its covers and the blocks covering each
+    block (_cover_masks, as Heap.covers does), its flippable triples
+    (_triples) and their masks (_flipped), and its canonical word.
 
     The canonical word is the lex-least linear extension: at each step
     take the free block of least column, which is the lowest free id.
@@ -533,51 +570,16 @@ def _flip_class(order: UnitIntervalOrder, word) -> list:
     canonical word is the word given.
     """
     cols, start = _drop(order, word)
-    d = len(cols)
     seen = {start}
     stack = [start]
     out = []
     while stack:
         lower = stack.pop()
-        covers = []
-        above = [0] * d
-        free = 0  # blocks with nothing below
-        for b, below in enumerate(lower):
-            deeper = 0
-            m = below
-            while m:
-                low = m & -m
-                deeper |= lower[low.bit_length() - 1]
-                m ^= low
-            m = below & ~deeper
-            covers.append(m)
-            while m:
-                low = m & -m
-                above[low.bit_length() - 1] |= 1 << b
-                m ^= low
-            if not below:
-                free |= 1 << b
-        flips = []
-        for q in range(d):
-            bit_q = 1 << q
-            for group in (covers[q], above[q]):
-                if not group & group - 1:
-                    continue  # fewer than two blocks
-                while group:
-                    low = group & -group
-                    group ^= low
-                    p = low.bit_length() - 1
-                    rest = group
-                    while rest:
-                        low_r = rest & -rest
-                        rest ^= low_r
-                        flipped = list(lower)
-                        flipped[p] ^= bit_q
-                        flipped[low_r.bit_length() - 1] ^= bit_q
-                        flipped[q] ^= low | low_r
-                        flips.append(tuple(flipped))
+        covers, above = _cover_masks(lower)
+        flips = [_flipped(lower, t) for t in _triples(covers, above)]
         if not flips and lower is start:
             return [(tuple(word), start)]
+        free = sum(1 << b for b, below in enumerate(lower) if not below)
         done = 0
         canonical = []
         while free:

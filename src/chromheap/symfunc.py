@@ -300,9 +300,6 @@ class SymFunc:
             out = out + cls.basis_element(basis, lam, c)
         return out
 
-    def m_coeff(self, lam) -> QPoly:
-        return self.terms.get(tuple(lam), QPoly())
-
     def __add__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
@@ -443,9 +440,6 @@ class QSymFunc:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def m_coeff(self, alpha) -> QPoly:
-        return self.terms.get(tuple(alpha), QPoly())
 
     def f_coords(self) -> dict:
         """Coordinates in the fundamental basis, subset -> QPoly.

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import chromheap.cli as cli
 from chromheap.chromatic import (
     CrossCheckError,
     _class_masks,
@@ -36,18 +37,13 @@ from chromheap.chromatic import (
     scaling_check,
     sink_sum,
 )
-from chromheap.heaps import (
-    _enumerate_heaps,
-    descent_positions,
-    enumerate_classes,
-    enumerate_heaps,
-)
+from chromheap.heaps import descent_positions, enumerate_classes, enumerate_heaps
 from chromheap.ncsf import nc_h, pair_gamma
 from chromheap.partitions import check_type
 from chromheap.posets import DyckPath, UnitIntervalOrder
 from chromheap.qpoly import QPoly, q_factorial
 from chromheap.symfunc import NotSymmetricError, QSymFunc
-from test_heaps import forbidden_paths_exhaustive, small_heap_types
+from test_heaps import forbidden_paths_exhaustive, refuse_heaps_from_words, small_heap_types
 
 P233 = UnitIntervalOrder((2, 3, 3))
 P23455 = UnitIntervalOrder((2, 3, 4, 5, 5))
@@ -589,14 +585,29 @@ def test_heap_sums_equal_the_per_shape_loops_on_small_types():
         _assert_heap_sums_match_the_loops(order, mu)
 
 
-def test_e_expansion_leaves_the_heaps_of_its_type_unbuilt():
+def test_e_expansion_leaves_the_heaps_of_its_type_unbuilt(monkeypatch):
     """The heap side of the e-checks walks the canonical words; it never
-    asks for the heaps of the type."""
-    _enumerate_heaps.cache_clear()
+    asks for the heaps of the type, which drop from their words."""
     _e_heap_sums.cache_clear()
+    refuse_heaps_from_words(monkeypatch)
     expansion(UnitIntervalOrder((3, 4, 5, 6, 7, 7, 7)), (1,) * 7, "e")
     assert _e_heap_sums.cache_info().misses == 1
-    assert _enumerate_heaps.cache_info().misses == 0
+
+
+def test_the_e_side_drops_no_word_to_a_heap(monkeypatch, capsys):
+    """The e-walk builds the heaps it tests (W components, hook
+    candidates) from its own masks: with Heap.from_word refused, the e
+    expansion and the heap-side verify suites still run. These types
+    have rank <= 2 heaps with W components and hook candidates."""
+    _e_heap_sums.cache_clear()
+    refuse_heaps_from_words(monkeypatch)
+    instances = [(P233, (3, 2, 2)), (P23455, (1,) * 5), *small_heap_types()]
+    for order, mu in instances:
+        expansion(order, mu, "e")
+        for suite in ("two-column", "hook", "sinks"):
+            argv = ["verify", "--suite", suite, "--poset", order.text()]
+            assert cli.main([*argv, "--mu", ",".join(map(str, mu))]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def _assert_heap_sums_match_the_loops(order, mu):

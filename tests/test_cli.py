@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import chromheap.chromatic as chromatic
 import chromheap.cli as cli
-import chromheap.heaps as heaps
 import chromheap.ncsf as ncsf
 import chromheap.symfunc as symfunc
 from chromheap.chromatic import CrossCheckError, expansion, positivity_report
@@ -25,6 +24,7 @@ from chromheap.partitions import partitions
 from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly
 from chromheap.symfunc import QSymFunc
+from test_heaps import refuse_heaps_from_words
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -99,6 +99,21 @@ def test_verify_reports_not_symmetric_as_fail(capsys, monkeypatch):
     # the sweep runs on past the first failure: 1 + 2 orders
     assert len({line.split()[1] for line in lines}) == 3
     assert all(line.startswith("FAIL") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "suite, name", [("oracle", "coloring_qsym"), ("positivity", "positivity_report")]
+)
+def test_verify_reports_a_raising_check_as_fail(capsys, monkeypatch, suite, name):
+    def broken(order, mu, *rest):
+        raise CrossCheckError("routes disagree")
+
+    monkeypatch.setattr(cli, name, broken)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "2")
+    assert code == 2 and err == ""
+    lines = out.strip().splitlines()
+    # both checks of each of the 1 + 2 orders, run on past the failures
+    assert len(lines) == 6 and all(line.startswith("FAIL") for line in lines)
 
 
 @pytest.mark.parametrize("error", [CrossCheckError, NonIntegralWeightError])
@@ -391,18 +406,18 @@ def test_verify_output_is_frozen(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_VERIFY[argv]
 
 
-def test_per_instance_caches_hold_one_instance(capsys):
+def test_per_instance_caches_hold_one_instance(capsys, monkeypatch):
     caches = (chromatic._e_coefficients, chromatic._e_heap_sums)
-    for cache in (heaps._enumerate_heaps, *caches):
+    for cache in caches:
         cache.cache_clear()
     # classes are closed from the descent-free words, never from the
-    # heaps of the type
+    # heaps of the type, which drop from their words
+    refuse_heaps_from_words(monkeypatch)
     assert run(capsys, "classes", "--poset", "3,4,5,6,7,7,7")[0] == 0
     # positivity lists the classes of each instance and expands it in e
     assert run(capsys, "verify", "--suite", "positivity", "--max-n", "4")[0] == 0
     for cache in caches:
         assert cache.cache_info().currsize == 1, cache
-    assert heaps._enumerate_heaps.cache_info().misses == 0
 
 
 @st.composite

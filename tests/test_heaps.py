@@ -481,6 +481,16 @@ def forbidden_paths_exhaustive(heap):
     return out
 
 
+def refuse_heaps_from_words(monkeypatch):
+    """Make Heap.from_word raise, so that any code building a heap by
+    dropping a word fails the test that calls this."""
+
+    def refuse(cls, order, word):
+        raise RuntimeError(f"a heap was dropped from the word {word}")
+
+    monkeypatch.setattr(Heap, "from_word", classmethod(refuse))
+
+
 def small_heap_types():
     """(order, mu) for mu = 1^n over every order with n <= 6, and every
     other type with entries <= 2 over every order with n <= 4."""
