@@ -17,13 +17,14 @@ the e-checks read X in e directly, and the h-positivity of a class
 function is read as the e-positivity of its omega image, taken from the
 class words' complemented masks, so no route reads h-coordinates. The
 word route shares no code with the coloring walk. The loop over all
-words of the type, omega_chromatic_qsym_by_words, is kept as the
-reference the tests compare against. Theorem-driven coefficient
-formulas (pairings, rank profiles of heaps, sink counts) are always
-cross-checked against the linear-algebra route; a disagreement raises
-CrossCheckError. The heap sides of the e-checks share one cached walk
-over the canonical words of a type, which reads the statistics of each
-heap as its blocks drop.
+words of the type and the per-coloring ascent and descent counts live
+in the tests, as the references they compare against. Theorem-driven
+coefficient formulas (pairings, rank profiles of heaps, sink counts) are
+always cross-checked against the linear-algebra route; a disagreement raises
+CrossCheckError. The heap sides of the two-column and hook checks share
+one cached walk over the canonical words of a type, which reads the
+statistics of each heap as its blocks drop; the sink check sums the
+same words by a transfer over prefix states.
 """
 
 from __future__ import annotations
@@ -33,17 +34,17 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import MathematicalError
-from .heaps import Heap, HeapClass, descent_positions, enumerate_classes, inversion_count
+from .heaps import Heap, HeapClass, descent_positions, enumerate_classes
 from .heaps import _drop_tables
 
 # unused here; bound for benchmarks/child.py, which wraps them in this namespace
 from .heaps import enumerate_heaps  # noqa: F401
 from .ncsf import nc_h, nc_p, nc_s, pair_gamma  # noqa: F401
+from .partitions import multiset_permutations  # noqa: F401
 from .partitions import (
     check_type,
     conjugate,
     multinomial,
-    multiset_permutations,
     partitions,
     revlex_sorted,
     subset_to_composition,
@@ -153,35 +154,6 @@ def proper_colorings(order: UnitIntervalOrder, mu, colors: int, *, gapless=False
         order, mu, colors, gapless, lambda picked, *_: found.append(dict(picked))
     )
     yield from found
-
-
-def coloring_ascents(order: UnitIntervalOrder, coloring) -> int:
-    """Pairs of colors across an edge increasing with the vertex labels."""
-    count = 0
-    for i, j in order.edges:
-        ci = coloring.get(i, ())
-        cj = coloring.get(j, ())
-        for r in ci:
-            for s in cj:
-                if r < s:
-                    count += 1
-    return count
-
-
-def coloring_descents(order: UnitIntervalOrder, coloring) -> int:
-    """Pairs of colors across an edge decreasing with the vertex labels.
-
-    Written against the edge list directly, not as a complement of the
-    ascent count. With coloring_ascents it is the per-coloring reference
-    for the running counts of the coloring walk.
-    """
-    count = 0
-    for i, j in order.edges:
-        for r in coloring.get(i, ()):
-            for s in coloring.get(j, ()):
-                if r > s:
-                    count += 1
-    return count
 
 
 def proper_coloring_count(order: UnitIntervalOrder, mu, colors: int) -> int:
@@ -294,37 +266,50 @@ def _descent_polys(order, mu, width) -> dict:
     descent exactly when the last letter lies above a, i.e. exceeds m_a.
     Both depend only on (used multiset, last letter), so the prefixes are
     summed per state; each state maps descent masks to polynomials.
+    `used` is one int, letter a owning mu_a bits filled from the bottom,
+    so the inversions are a popcount. The child of `used` for a letter of
+    bound t sums the dicts of all last letters, those above t with the
+    new descent bit set (it is new, so nothing collides). It is built for
+    the least bound; each larger one moves the last letters up to it back
+    to the old masks. Letters of one bound share it, each with its own
+    shift, applied where it is read.
     """
-    m = order.m
-    n = len(mu)
-    layer = {(0,) * n: {0: {0: 1}}}  # used -> last letter -> mask -> poly
+    m, n = order.m, len(mu)
+    low = [0] + [1 << sum(mu[:a]) for a in range(n + 1)]  # letter -> lowest bit
+    field = [y - x for x, y in zip(low, low[1:])]  # letter -> its bits
+    layer = {0: {0: (0, {0: 1})}}  # used -> last letter -> (shift, mask -> poly)
     for k in range(sum(mu)):
         bit = 1 << (k - 1) if k else 0
         nxt: dict = {}
         for used, by_last in layer.items():
-            for a in range(1, n + 1):
-                if used[a - 1] == mu[a - 1]:
-                    continue
-                top = m[a - 1]
-                acc: dict = {}
-                for last, masks in by_last.items():
-                    extra = bit if last > top else 0
-                    for mask, p in masks.items():
-                        key = mask | extra
-                        acc[key] = acc.get(key, 0) + p
-                # every prefix reaching (grown, a) comes from this `used`,
-                # so the inversion shift is applied once per mask
-                shift = sum(used[a:top]) * width
-                grown = used[: a - 1] + (used[a - 1] + 1,) + used[a:]
-                nxt.setdefault(grown, {})[a] = {
-                    mask: p << shift for mask, p in acc.items()
-                }
+            # the letters with room, by increasing bound
+            letters = [a for a in range(1, n + 1) if used & field[a] != field[a]]
+            t = m[letters[0] - 1]
+            child: dict = {}
+            for last, (shift, masks) in by_last.items():
+                extra = bit if last > t else 0
+                for mask, p in masks.items():
+                    child[mask | extra] = child.get(mask | extra, 0) + (p << shift)
+            above = sorted(last for last in by_last if last > t)
+            shared = None
+            for a in letters:
+                if m[a - 1] != t:
+                    t, shared = m[a - 1], None
+                    while above and above[0] <= t:
+                        shift, masks = by_last[above.pop(0)]
+                        for mask, p in masks.items():
+                            if rest := child.pop(mask | bit) - (p << shift):
+                                child[mask | bit] = rest
+                            child[mask] = child.get(mask, 0) + (p << shift)
+                shared = shared or dict(child)
+                shift = (used & (low[t + 1] - low[a + 1])).bit_count() * width
+                nxt.setdefault(used | (used & field[a]) + low[a], {})[a] = (shift, shared)
         layer = nxt
     out: dict = {}
     for by_last in layer.values():
-        for masks in by_last.values():
+        for shift, masks in by_last.values():
             for mask, p in masks.items():
-                out[mask] = out.get(mask, 0) + p
+                out[mask] = out.get(mask, 0) + (p << shift)
     return out
 
 
@@ -335,23 +320,6 @@ def _unpack(packed: int, width: int) -> QPoly:
         coeffs.append(packed & slot)
         packed >>= width
     return QPoly(coeffs)
-
-
-def omega_chromatic_qsym_by_words(order: UnitIntervalOrder, mu) -> QSymFunc:
-    """Reference for omega_chromatic_qsym: loops over all d!/prod(mu_a!)
-    words of type mu, one fundamental function per descent set. Tests
-    compare the dynamic program against it; keep d <= 8."""
-    d = sum(mu)
-    by_descents: dict = {}
-    for w in multiset_permutations(mu):
-        s = descent_positions(order, w)
-        by_descents[s] = by_descents.get(s, QPoly()) + QPoly.monomial(
-            inversion_count(order, w)
-        )
-    out = QSymFunc(d)
-    for s, c in by_descents.items():
-        out = out + QSymFunc.fundamental(d, s, c)
-    return out
 
 
 def omega_chromatic_sym(order: UnitIntervalOrder, mu) -> SymFunc:
@@ -671,17 +639,16 @@ def _check_e(order, mu, lam, got, what):
 
 
 # Sums of q^ascents over the heaps of one type, one q-polynomial per
-# bucket; a heap may fall in all three. The fields are dicts:
-#   sinks: k -> heaps with k sinks
+# bucket; a heap may fall in both. The fields are dicts:
 #   two_column: (n1, n2) -> rank <= 2 heaps, no W component
 #   hooks: l -> heaps in the hook family for l (l + 1 sinks)
-_EHeapSums = namedtuple("_EHeapSums", "sinks two_column hooks")
+_EHeapSums = namedtuple("_EHeapSums", "two_column hooks")
 
 
 @lru_cache(maxsize=1)
 def _e_heap_sums(order, mu) -> _EHeapSums:
     """One walk over the descent-free words of type mu, the canonical
-    words of its heaps, for every theorem-side e check. It reads the
+    words of its heaps, for the two-column and hook checks. It reads the
     heaps alone, never the basis change.
 
     Each block is read as it drops, as in heaps._drop and from the same
@@ -703,12 +670,19 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
     left, so the least sink, where a canonical word starts, lies below
     a. If it does, dropping the letters not below a first and then the
     others run by run puts every sink in a column not below a.
+
+    It goes on past a block only while the heap can reach a bucket:
+    rank <= 2, or a hook: at most two rank-2 blocks, two only with equal
+    lower masks, and two sinks counting those that can still land, one
+    per column left that touches no dropped block. Rank, the rank-2
+    blocks and the sinks only grow, so no heap of a bucket is lost.
+    _sink_polys sums the sinks of every heap.
     """
     check_type(mu, order.n)
     d, n = sum(mu), order.n
     alphabet = range(1, n + 1)
-    below = order.below
-    touching = [tuple(c for c in alphabet if t >> c & 1) for t in order.touch]
+    below, touch = order.below, order.touch
+    touching = [tuple(c for c in alphabet if t >> c & 1) for t in touch]
     follow = [tuple(b for b in alphabet if not below[a] >> b & 1) for a in range(n + 1)]
     cols, first, near = _drop_tables(order, mu)
     end = [f + x for f, x in zip(first, (0, *mu))]  # column -> id past its top
@@ -717,12 +691,10 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
     run_top: dict = {}  # mask of the columns left -> top of their lowest run
     lower = [0] * d  # block -> blocks directly below it, as it drops
     rank2: list = []  # lower masks of the rank-2 blocks
-    sinks: Counter = Counter()  # (bucket, ascents) -> heaps
-    two_column: Counter = Counter()
+    two_column: Counter = Counter()  # (bucket, ascents) -> heaps
     hooks: Counter = Counter()
 
     def leaf(k, asc, high):
-        sinks[k, asc] += 1
         n2 = len(rank2)
         h = Heap(order, cols, lower) if high <= 2 else None
         if h and all(h.component_type(c) != "W" for c in h.components):
@@ -733,7 +705,8 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
             if not (h or Heap(order, cols, lower)).forbidden_paths():
                 hooks[k - 1, asc] += 1
 
-    def walk(letters, left, k, asc, high, dropped):
+    def walk(letters, left, k, asc, high, dropped, fresh):
+        # fresh: the columns touching no dropped block, where a sink can land
         if not left:
             return leaf(k, asc, high)
         for a in letters:
@@ -750,20 +723,61 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
             under = lower[b] = dropped & near[a]
             if r == 2:
                 rank2.append(under)
-            room[a] -= 1
-            first[a] = b + 1
-            was = top[a]
-            top[a] = r
-            up = (under >> end[a]).bit_count()
-            walk(follow[a], rest, k + (r == 1), asc + up, r if r > high else high, dropped | 1 << b)
-            top[a] = was
-            first[a] = b
-            room[a] += 1
+            sinks, free = k + (r == 1), fresh & ~touch[a]
+            if r <= 2 and high <= 2 or sinks + (rest & free).bit_count() > 1 and (
+                len(rank2) < 2 or len(rank2) == 2 and rank2[0] == rank2[1]
+            ):
+                room[a] -= 1
+                first[a] = b + 1
+                was = top[a]
+                top[a] = r
+                up = (under >> end[a]).bit_count()
+                high_now = r if r > high else high
+                walk(follow[a], rest, sinks, asc + up, high_now, dropped | 1 << b, free)
+                top[a] = was
+                first[a] = b
+                room[a] += 1
             if r == 2:
                 rank2.pop()
 
-    walk(follow[0], sum(1 << a for a in alphabet if mu[a - 1]), 0, 0, 0, 0)
-    return _EHeapSums(_polys(sinks), _polys(two_column), _polys(hooks))
+    start = sum(1 << a for a in alphabet if mu[a - 1])
+    walk(follow[0], start, 0, 0, 0, 0, start)
+    return _EHeapSums(_polys(two_column), _polys(hooks))
+
+
+@lru_cache(maxsize=1)
+def _sink_polys(order, mu) -> dict:
+    """{k: sum of q^ascents over the heaps of type mu with k sinks}, by a
+    transfer over their descent-free words, no heap or word listed. A
+    letter b may follow a when a <= m_b; it is a sink when no earlier
+    letter lies in a column touching b, lo_b..m_b, and adds one ascent
+    per earlier letter in b+1..m_b. So the words are summed per (used,
+    last letter), packed in one int: `width` bits per power of q, and a
+    stride past every power per sink. The word DP and the pairing
+    transfer walk such states too; this shares no code with either.
+    """
+    check_type(mu, order.n)
+    n, m, d = order.n, order.m, sum(mu)
+    width = multinomial(mu).bit_length()  # no coefficient exceeds the heap count
+    powers = d * (d - 1) // 2 + 1  # no heap has more ascents than block pairs
+    lo = [min(c for c in range(1, b + 1) if m[c - 1] >= b) for b in range(1, n + 1)]
+    layer = {(0,) * n: {0: 1}}  # used -> last letter -> packed sum
+    for _ in range(d):
+        nxt: dict = {}
+        for used, by_last in layer.items():
+            for b, top in enumerate(m, 1):
+                if used[b - 1] == mu[b - 1]:
+                    continue
+                if p := sum(by_last.get(a, 0) for a in range(top + 1)):
+                    sink = not any(used[lo[b - 1] - 1 : top])
+                    shift = (sum(used[b:top]) + sink * powers) * width
+                    grown = used[: b - 1] + (used[b - 1] + 1,) + used[b:]
+                    nxt.setdefault(grown, {})[b] = p << shift
+        layer = nxt
+    total = sum(sum(by_last.values()) for by_last in layer.values())
+    slots = range(total.bit_length() // width + 1)
+    counts = {divmod(i, powers): total >> i * width & (1 << width) - 1 for i in slots}
+    return _polys(+Counter(counts))  # (sinks, ascents) -> heaps
 
 
 def _polys(counts) -> dict:
@@ -820,16 +834,14 @@ def coeff_e_hook(order: UnitIntervalOrder, mu, a: int, l: int) -> QPoly:
 
 
 def sink_sum(order: UnitIntervalOrder, mu, k: int) -> QPoly:
-    """Sum of q^ascents over type-mu heaps with exactly k sinks; equals
-    the sum of e-coefficients over partitions of length k."""
+    """Sum of q^ascents over type-mu heaps with exactly k sinks, from the
+    sink transfer (_sink_polys); equals the sum of e-coefficients over
+    partitions of length k."""
     mu = tuple(mu)
     if k < 1:
         raise ValueError("need k >= 1")
-    out = _e_heap_sums(order, mu).sinks.get(k, QPoly())
-    want = QPoly()
-    for lam, c in _e_coefficients(order, mu).items():
-        if len(lam) == k:
-            want = want + c
+    out = _sink_polys(order, mu).get(k, QPoly())
+    want = sum((c for lam, c in _e_coefficients(order, mu).items() if len(lam) == k), QPoly())
     if out != want:
         raise CrossCheckError(
             f"sink sum k={k}: heaps give {out.pretty()}, e-report row "

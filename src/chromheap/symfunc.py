@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import comb, factorial, perm
 
 from .partitions import (
     compositions,
@@ -49,82 +49,72 @@ class NotSymmetricError(MathematicalError, ValueError):
         )
 
 
-def _fills(k, caps):
-    """Vectors v with 0 <= v_j <= caps[j] and sum k."""
-    if not caps:
-        if k == 0:
-            yield ()
-        return
-    for v in range(min(k, caps[0]) + 1):
-        for rest in _fills(k - v, caps[1:]):
-            yield (v,) + rest
-
-
-def _canon(rem):
-    return tuple(sorted((x for x in rem if x > 0), reverse=True))
-
-
 @lru_cache(maxsize=None)
-def _count_matrices(rows, rem):
-    """Matrices with prescribed rows and column sums rem (a partition).
+def _rows_to_m(rows) -> dict:
+    """Monomial expansion of a product of generators, one row each:
+    ('e', k), ('h', k) or ('p', k). The coefficient of m_nu counts the
+    matrices with column sums nu whose rows are 0/1 summing to k (e),
+    nonnegative summing to k (h), or the single entry k (p).
 
-    Each row is ('e', k): 0/1 entries summing to k; ('h', k): nonnegative
-    entries summing to k; or ('p', k): the single entry k in one column.
-    The count is symmetric in the columns, so rem is kept sorted.
+    The last row is pushed onto the cached row of rows[:-1], so rows
+    sorted by decreasing part share their prefixes. The push moves orbit
+    totals, the matrices whose column sums over d = degree positions
+    rearrange nu: in each class of g equal columns the new row raises j
+    of them by one in C(g, j) ways (e), one by k in g ways (p), or adds
+    increments of multiplicities mult in g!/prod(mult!) ways (h). Each
+    total is then divided by the number of rearrangements of nu.
     """
     if not rows:
-        return 1 if not rem else 0
-    kind, k = rows[0]
-    rest = rows[1:]
-    total = 0
-    if kind == "e":
-        if k > len(rem):
-            return 0
-        for idxs in combinations(range(len(rem)), k):
-            new = list(rem)
-            for j in idxs:
-                new[j] -= 1
-            total += _count_matrices(rest, _canon(new))
-    elif kind == "h":
-        for fill in _fills(k, rem):
-            total += _count_matrices(
-                rest, _canon(tuple(r - v for r, v in zip(rem, fill)))
-            )
-    elif kind == "p":
-        seen = set()
-        for j, r in enumerate(rem):
-            if r >= k and r not in seen:
-                seen.add(r)
-                mult = sum(1 for x in rem if x == r)
-                new = list(rem)
-                new[j] -= k
-                total += mult * _count_matrices(rest, _canon(new))
-    else:
-        raise ValueError(f"unknown row kind {kind!r}")
-    return total
+        return {(): 1}
+    kind, k = rows[-1]
+    d = sum(r for _, r in rows)
+    totals: dict = {}
+    for nu, c in _rows_to_m(rows[:-1]).items():
+        # (ways, left to add, new column sums), spread class by class
+        spread = [(c * _arrangements(nu, d), k, ())]
+        for v, g in [*((v, nu.count(v)) for v in dict.fromkeys(nu)), (0, d - len(nu))]:
+            stay = (v,) if v else ()  # zero sums are left out
+            if kind == "e":
+                js = range(min(g, k) + 1)
+                options = [(j, (v + 1,) * j + stay * (g - j), comb(g, j)) for j in js]
+            elif kind == "p":
+                options = [(0, stay * g, 1), (k, (v + k,) + stay * (g - 1), g)]
+            elif kind == "h":
+                options = [
+                    (s, tuple(v + x for x in pi) + stay * (g - len(pi)), _arrangements(pi, g))
+                    for s in range(k + 1)
+                    for pi in partitions(s)
+                    if len(pi) <= g
+                ]
+            else:
+                raise ValueError(f"unknown row kind {kind!r}")
+            spread = [
+                (w * ways, left - used, sums + raised)
+                for w, left, sums in spread
+                for used, raised, ways in options
+                if used <= left
+            ]
+        for w, left, sums in spread:
+            if not left:
+                # the classes go down by sum, and e raises each by one at most
+                key = sums if kind == "e" else tuple(sorted(sums, reverse=True))
+                totals[key] = totals.get(key, 0) + w
+    return {nu: totals[nu] // _arrangements(nu, d) for nu in partitions(d) if nu in totals}
 
 
-def _rows_to_m(rows) -> dict:
-    """Monomial expansion of a product of e/h/p generators."""
-    d = sum(k for _, k in rows)
-    rows = tuple(sorted(rows, key=lambda r: (-r[1], r[0])))
-    out = {}
-    for nu in partitions(d):
-        c = _count_matrices(rows, nu)
-        if c:
-            out[nu] = c
-    return out
+def _arrangements(nu, n) -> int:
+    """Ways to place the parts of nu on n positions, zeros elsewhere."""
+    ways = perm(n, len(nu))
+    for x in set(nu):
+        ways //= factorial(nu.count(x))
+    return ways
 
 
 def transition_M(lam, mu) -> int:
-    """Number of 0/1 matrices with row sums lam and column sums mu.
-
-    This is the coefficient of m_mu in e_lam.
-    """
-    if sum(lam) != sum(mu):
-        return 0
-    rows = tuple(sorted((("e", k) for k in lam), key=lambda r: -r[1]))
-    return _count_matrices(rows, tuple(sorted(mu, reverse=True)))
+    """Number of 0/1 matrices with row sums lam and column sums mu: the
+    coefficient of m_mu in e_lam, read off the pushed e row."""
+    row = basis_to_m("e", tuple(sorted(lam, reverse=True)))
+    return row.get(tuple(sorted(mu, reverse=True)), 0)
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +125,7 @@ def basis_to_m(basis: str, lam: tuple) -> dict:
     if basis == "m":
         return {lam: 1}
     if basis in ("e", "h", "p"):
-        return _rows_to_m(tuple((basis, k) for k in lam))
+        return _rows_to_m(tuple((basis, k) for k in sorted(lam, reverse=True)))
     if basis == "s":
         return _schur_to_m(lam)
     if basis == "f":
@@ -164,7 +154,7 @@ def _schur_to_m(lam) -> dict:
     """Monomial expansion of a Schur function by dual Jacobi-Trudi."""
     out = {}
     for sign, parts in dual_jacobi_trudi(lam):
-        for nu, c in _rows_to_m(tuple(("e", k) for k in parts)).items():
+        for nu, c in _rows_to_m(tuple(("e", k) for k in sorted(parts, reverse=True))).items():
             out[nu] = out.get(nu, 0) + sign * c
     return {nu: c for nu, c in out.items() if c != 0}
 

@@ -3,12 +3,14 @@
 import json
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import chromheap.chromatic as chromatic
 import chromheap.cli as cli
+import chromheap.symfunc as symfunc
 from chromheap.chromatic import (
     CrossCheckError,
     _class_masks,
@@ -16,6 +18,7 @@ from chromheap.chromatic import (
     _complemented,
     _e_heap_sums,
     _fundamental_to_monomial,
+    _sink_polys,
     asc_des_symmetry_check,
     chromatic_sym,
     class_qsym,
@@ -23,13 +26,10 @@ from chromheap.chromatic import (
     closed_form_two_column,
     coeff_e_hook,
     coeff_e_two_column,
-    coloring_ascents,
-    coloring_descents,
     coloring_qsym,
     expansion,
     heap_qsym,
     omega_chromatic_qsym,
-    omega_chromatic_qsym_by_words,
     omega_chromatic_sym,
     positivity_report,
     proper_coloring_count,
@@ -37,16 +37,62 @@ from chromheap.chromatic import (
     scaling_check,
     sink_sum,
 )
-from chromheap.heaps import descent_positions, enumerate_classes, enumerate_heaps
+from chromheap.heaps import descent_positions, enumerate_classes, enumerate_heaps, inversion_count
 from chromheap.ncsf import nc_h, pair_gamma
-from chromheap.partitions import check_type
+from chromheap.partitions import check_type, multiset_permutations
 from chromheap.posets import DyckPath, UnitIntervalOrder
 from chromheap.qpoly import QPoly, q_factorial
-from chromheap.symfunc import NotSymmetricError, QSymFunc
+from chromheap.symfunc import NotSymmetricError, QSymFunc, SymFunc
 from test_heaps import forbidden_paths_exhaustive, refuse_heaps_from_words, small_heap_types
 
 P233 = UnitIntervalOrder((2, 3, 3))
 P23455 = UnitIntervalOrder((2, 3, 4, 5, 5))
+
+
+def coloring_ascents(order: UnitIntervalOrder, coloring) -> int:
+    """Pairs of colors across an edge increasing with the vertex labels."""
+    count = 0
+    for i, j in order.edges:
+        ci = coloring.get(i, ())
+        cj = coloring.get(j, ())
+        for r in ci:
+            for s in cj:
+                if r < s:
+                    count += 1
+    return count
+
+
+def coloring_descents(order: UnitIntervalOrder, coloring) -> int:
+    """Pairs of colors across an edge decreasing with the vertex labels.
+
+    Written against the edge list directly, not as a complement of the
+    ascent count. With coloring_ascents it is the per-coloring reference
+    for the running counts of the coloring walk.
+    """
+    count = 0
+    for i, j in order.edges:
+        for r in coloring.get(i, ()):
+            for s in coloring.get(j, ()):
+                if r > s:
+                    count += 1
+    return count
+
+
+def omega_chromatic_qsym_by_words(order: UnitIntervalOrder, mu) -> QSymFunc:
+    """Reference for omega_chromatic_qsym: loops over all d!/prod(mu_a!)
+    words of type mu, one fundamental function per descent set. Tests
+    compare the dynamic program against it; keep d <= 8."""
+    d = sum(mu)
+    by_descents: dict = {}
+    for w in multiset_permutations(mu):
+        s = descent_positions(order, w)
+        by_descents[s] = by_descents.get(s, QPoly()) + QPoly.monomial(
+            inversion_count(order, w)
+        )
+    out = QSymFunc(d)
+    for s, c in by_descents.items():
+        out = out + QSymFunc.fundamental(d, s, c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +659,9 @@ def test_the_e_side_drops_no_word_to_a_heap(monkeypatch, capsys):
 def _assert_heap_sums_match_the_loops(order, mu):
     d = sum(mu)
     sums = _e_heap_sums(order, mu)
+    sinks = _sink_polys(order, mu)
     for k in range(d + 2):
-        assert sums.sinks.get(k, QPoly()) == _sink_loop(order, mu, k), k
+        assert sinks.get(k, QPoly()) == _sink_loop(order, mu, k), k
         # every (k, l), also k < l: a W component has more rank-2 blocks
         for l in range(d + 2):
             got = sums.two_column.get((k, l), QPoly())
@@ -623,6 +670,70 @@ def _assert_heap_sums_match_the_loops(order, mu):
         for l in range(1, d + 1):
             got = sums.hooks.get(l, QPoly()) if a + l + 1 == d else QPoly()
             assert got == _hook_loop(order, mu, a, l), (a, l)
+
+
+def _buckets_by_heaps(order, mu):
+    """(sinks, two_column, hooks) of _sink_polys and _e_heap_sums from one
+    pass over the heaps of the type, each heap tested as in the per-shape
+    loops above."""
+    sinks, two_column, hooks = {}, {}, {}
+
+    def add(bucket, key, h):
+        bucket[key] = bucket.get(key, QPoly()) + QPoly.monomial(h.ascents)
+
+    for h in enumerate_heaps(order, mu):
+        add(sinks, h.sink_count, h)
+        if h.rank <= 2 and all(h.component_type(c) != "W" for c in h.components):
+            n2 = sum(1 for r in h.levels if r == 2)
+            add(two_column, (h.size - n2, n2), h)
+        l = h.sink_count - 1
+        if l >= 1 and _in_hook_family_abc(h, l):
+            add(hooks, l, h)
+    return sinks, two_column, hooks
+
+
+def test_pruned_walk_and_sink_transfer_sweep():
+    """The walk stops at a heap that can reach neither bucket, and the
+    sinks come from their own transfer: both against every heap of
+    every order with n <= 6, of 2,3,3 under every type up to (3,2,2), and
+    of a multi-color type at n = 7."""
+    instances = [(o, (1,) * n) for n in range(1, 7) for o in UnitIntervalOrder.all_orders(n)]
+    instances += [(P233, mu) for mu in product(range(4), range(3), range(3)) if any(mu)]
+    instances.append((UnitIntervalOrder((2, 4, 5, 6, 7, 7, 7)), (2, 1, 1, 1, 1, 1, 2)))
+    for order, mu in instances:
+        sums = _e_heap_sums(order, mu)
+        want = _buckets_by_heaps(order, mu)
+        assert (_sink_polys(order, mu), sums.two_column, sums.hooks) == want, (order.m, mu)
+
+
+def test_heap_sides_never_take_the_basis_change(monkeypatch):
+    # the e-checks compare the heaps with the basis change, so the walk
+    # and the sink transfer must not read it
+    order, mu = UnitIntervalOrder((3, 4, 5, 6, 7, 7, 7)), (1,) * 7
+    want = (_e_heap_sums(order, mu), _sink_polys(order, mu))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the heap side took the basis change")
+
+    for name in ("_descent_polys", "_fundamental_to_monomial"):
+        monkeypatch.setattr(chromatic, name, refuse)
+    monkeypatch.setattr(SymFunc, "in_basis", refuse)
+    monkeypatch.setattr(symfunc, "m_in_basis_coords", refuse)
+    _e_heap_sums.cache_clear()
+    _sink_polys.cache_clear()
+    assert (_e_heap_sums(order, mu), _sink_polys(order, mu)) == want
+
+
+def test_chromatic_sym_never_takes_the_heap_sides(monkeypatch):
+    instances = [(P233, (3, 2, 2)), (P23455, (1,) * 5)]
+    want = [chromatic_sym(order, mu) for order, mu in instances]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the word route took a heap side")
+
+    for name in ("_e_heap_sums", "_sink_polys"):
+        monkeypatch.setattr(chromatic, name, refuse)
+    assert [chromatic_sym(order, mu) for order, mu in instances] == want
 
 
 def test_sink_sum():

@@ -407,7 +407,7 @@ def test_verify_output_is_frozen(capsys, argv):
 
 
 def test_per_instance_caches_hold_one_instance(capsys, monkeypatch):
-    caches = (chromatic._e_coefficients, chromatic._e_heap_sums)
+    caches = (chromatic._e_coefficients, chromatic._e_heap_sums, chromatic._sink_polys)
     for cache in caches:
         cache.cache_clear()
     # classes are closed from the descent-free words, never from the
@@ -416,6 +416,8 @@ def test_per_instance_caches_hold_one_instance(capsys, monkeypatch):
     assert run(capsys, "classes", "--poset", "3,4,5,6,7,7,7")[0] == 0
     # positivity lists the classes of each instance and expands it in e
     assert run(capsys, "verify", "--suite", "positivity", "--max-n", "4")[0] == 0
+    # the sinks suite sums the sinks of each instance by its transfer
+    assert run(capsys, "verify", "--suite", "sinks", "--max-n", "4")[0] == 0
     for cache in caches:
         assert cache.cache_info().currsize == 1, cache
 

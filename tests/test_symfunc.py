@@ -1,9 +1,11 @@
 """Commutative symmetric and quasisymmetric substrate."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -142,6 +144,114 @@ def test_transition_triangular():
             for mu in partitions(d):
                 if transition_M(lam, mu):
                     assert dominates(conjugate(lam), mu)
+
+
+def _fills(k, caps):
+    """Vectors v with 0 <= v_j <= caps[j] and sum k."""
+    if not caps:
+        if k == 0:
+            yield ()
+        return
+    for v in range(min(k, caps[0]) + 1):
+        for rest in _fills(k - v, caps[1:]):
+            yield (v,) + rest
+
+
+def _canon(rem):
+    return tuple(sorted((x for x in rem if x > 0), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _count_matrices(rows, rem):
+    """Reference for symfunc._rows_to_m: matrices with prescribed rows
+    and column sums rem (a partition), counted by peeling the first row
+    off column by column. Each row is ('e', k): 0/1 entries summing to
+    k; ('h', k): nonnegative entries summing to k; or ('p', k): the
+    single entry k in one column."""
+    if not rows:
+        return 1 if not rem else 0
+    kind, k = rows[0]
+    rest = rows[1:]
+    total = 0
+    if kind == "e":
+        if k > len(rem):
+            return 0
+        for idxs in combinations(range(len(rem)), k):
+            new = list(rem)
+            for j in idxs:
+                new[j] -= 1
+            total += _count_matrices(rest, _canon(new))
+    elif kind == "h":
+        for fill in _fills(k, rem):
+            total += _count_matrices(
+                rest, _canon(tuple(r - v for r, v in zip(rem, fill)))
+            )
+    elif kind == "p":
+        seen = set()
+        for j, r in enumerate(rem):
+            if r >= k and r not in seen:
+                seen.add(r)
+                mult = sum(1 for x in rem if x == r)
+                new = list(rem)
+                new[j] -= k
+                total += mult * _count_matrices(rest, _canon(new))
+    else:
+        raise ValueError(f"unknown row kind {kind!r}")
+    return total
+
+
+def _reference_to_m(basis, lam):
+    """basis_to_m(basis, lam) for e, h, p and s from the matrix counts;
+    s by dual Jacobi-Trudi."""
+    d = sum(lam)
+    if basis == "s":
+        terms = dual_jacobi_trudi(lam)
+    else:
+        terms = [(1, lam)]
+    out = {}
+    for nu in partitions(d):
+        c = sum(
+            sign * _count_matrices(tuple(("e" if basis == "s" else basis, k) for k in parts), nu)
+            for sign, parts in terms
+        )
+        if c:
+            out[nu] = c
+    return out
+
+
+def test_generator_rows_equal_the_matrix_counts():
+    for d in range(9):
+        for lam in partitions(d):
+            for basis in "ehps":
+                got = basis_to_m(basis, lam)
+                assert got == _reference_to_m(basis, lam), (basis, lam)
+                # dominant partitions first, as partitions(d) lists them
+                assert list(got) == [nu for nu in partitions(d) if nu in got]
+
+
+def test_mixed_rows_commute():
+    # the last row is pushed onto the row of the others, in any order
+    for rows in permutations([("e", 2), ("h", 3), ("p", 2), ("e", 1)]):
+        assert _rows_to_m(rows) == _rows_to_m(tuple(sorted(rows))), rows
+    with pytest.raises(ValueError, match="unknown row kind"):
+        _rows_to_m((("x", 1),))
+
+
+# sha256 over repr(m_in_basis_coords(d, basis)) for d = 1..9, taken when the
+# rows were still counted matrix by matrix
+FROZEN_TABLES = {
+    "e": "69dd2a60d2a0c75ae5c3e1bd63c8938bddd148049e0b7fe02f6e1706309c9659",
+    "s": "bf4ab235ed2befd7d1bb7633ef3eeadfcbb3e0a58e486e89668715de09f8a513",
+    "p": "2008bdea619196acd370db959dffee71a93a0355916fc9e8ab297140dcbae2fb",
+}
+
+
+@pytest.mark.parametrize("basis", list(FROZEN_TABLES))
+def test_basis_change_tables_are_frozen(basis):
+    digest = hashlib.sha256()
+    for d in range(1, 10):
+        digest.update(repr(m_in_basis_coords(d, basis)).encode())
+    assert digest.hexdigest() == FROZEN_TABLES[basis]
 
 
 def test_h_expansion_small():
