@@ -1,10 +1,6 @@
 """Chromatic quasisymmetric functions of unit interval orders.
 
-Two independent routes are provided. The oracle walks the proper
-multi-colorings with d = sum(mu) colors, only the gapless ones that
-reach a monomial coefficient, in one plain recursion that carries the
-color use counts and the ascent and descent counts as running ints, each
-statistic on its own formula; one walk tallies both. The word route
+Two independent routes are provided. The word route is primary: it
 assembles the omega image of the function as the sum over words w of
 q^inv(w) F_Des(w): a dynamic program over word prefixes, keyed by (used
 multiset, last letter), sums the q-weights per descent set, and a
@@ -16,15 +12,18 @@ complement is the one way omega is taken on the quasisymmetric side:
 the e-checks read X in e directly, and the h-positivity of a class
 function is read as the e-positivity of its omega image, taken from the
 class words' complemented masks, so no route reads h-coordinates. The
-word route shares no code with the coloring walk. The loop over all
-words of the type and the per-coloring ascent and descent counts live
-in the tests, as the references they compare against. Theorem-driven
-coefficient formulas (pairings, rank profiles of heaps, sink counts) are
-always cross-checked against the linear-algebra route; a disagreement raises
-CrossCheckError. The heap sides of the two-column and hook checks share
-one cached walk over the canonical words of a type, which reads the
-statistics of each heap as its blocks drop; the sink check sums the
-same words by a transfer over prefix states.
+coloring oracle checks it: a transfer over the vertex use counts sums
+the gapless proper colorings with d = sum(mu) colors one color class, a
+chain of the order, at a time, the ascents and descents each on its own
+formula. It shares no code with the word route. The loops over all words
+and all colorings of the type live in the tests, as the references they
+compare against. Theorem-driven coefficient formulas (pairings, rank
+profiles of heaps, sink counts) are always cross-checked against the
+linear-algebra route; a disagreement raises CrossCheckError. The heap
+sides of the two-column and hook checks share one cached walk over the
+canonical words of a type, which reads the statistics of each heap as
+its blocks drop; the sink check sums the same words by a transfer over
+prefix states.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations
+from math import comb, prod
 
 from .errors import MathematicalError
 from .heaps import Heap, HeapClass, descent_positions, enumerate_classes
@@ -63,29 +63,23 @@ class CrossCheckError(MathematicalError, AssertionError):
 # coloring oracle
 
 
-def _coloring_walk(order, mu, colors, gapless, leaf):
-    """Visit every proper multi-coloring of type mu with colors from
-    [colors] once, calling leaf(picked, uses, top, asc, des) at each.
-
-    The vertices of positive type are colored in increasing order, each
-    from its color sets listed once as (bitmask, (vertex, colors))
-    pairs, bit c for color c. A set is blocked when it meets the OR of
-    the masks of the earlier neighbours. At a leaf, picked lists (vertex, colors) in
-    vertex order, uses[c] counts the vertices holding color c, and top is
-    the largest color used. asc and des are running counts of the color
-    pairs across an edge that increase, resp. decrease, with the vertex
-    labels: color c at a vertex adds, per earlier neighbour with mask M,
-    the bits of M below c to asc and the bits above c to des. Each is
-    counted on its own formula, never as the complement of the other.
+def proper_colorings(order: UnitIntervalOrder, mu, colors: int, *, gapless=False):
+    """All proper multi-colorings: vertex a gets mu[a-1] colors from
+    [colors], disjoint across incomparability edges. Each is a dict
+    vertex -> color tuple over the vertices of positive type, collected
+    by one recursion over the vertices in increasing order, before the
+    first is yielded. A color set (bit c for color c) is blocked when it
+    meets the OR of the sets of the earlier neighbours.
 
     With gapless=True only the colorings whose colors are exactly
-    {1..k} for some k reach the leaf. A partial coloring is dropped as
-    soon as its gaps (largest color used minus the number of distinct
-    colors used) outnumber the color slots still to fill. Each slot fills
-    at most one gap, so no dropped branch could end gapless, and a leaf
-    has no slot left, so every leaf is gapless. A gapless coloring uses
-    at most sum(mu) colors, so the walk offers no more than that.
+    {1..k} for some k are yielded. A partial coloring is dropped as soon
+    as its gaps (largest color used minus the number of distinct colors
+    used) outnumber the color slots still to fill. Each slot fills at
+    most one gap, so the prune is exact. A gapless coloring uses at most
+    sum(mu) colors, so no more are offered.
     """
+    mu = tuple(mu)
+    check_type(mu, order.n)
     if gapless:
         colors = min(colors, sum(mu))
     verts = [a for a in range(1, order.n + 1) if mu[a - 1] > 0]
@@ -94,91 +88,47 @@ def _coloring_walk(order, mu, colors, gapless, leaf):
     slots = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
         slots[i] = slots[i + 1] + mu[verts[i] - 1]
+    palette = range(1, colors + 1)
     choices = [
-        [
-            (sum(1 << c for c in combo), (a, combo))
-            for combo in combinations(range(1, colors + 1), mu[a - 1])
-        ]
+        [(sum(1 << c for c in combo), combo) for combo in combinations(palette, mu[a - 1])]
         for a in verts
     ]
     at = {a: i for i, a in enumerate(verts)}
     earlier = [[at[b] for b in order.neighbors(a) if b < a and b in at] for a in verts]
     masks = [0] * k
-    picked = [None] * k
-    uses = [0] * (colors + 1)  # vertices holding each color
+    picked = [()] * k
+    found = []
 
-    def rec(idx, used, asc, des):
+    def rec(idx, used):
         if idx == k:
-            leaf(picked, uses, used.bit_length() - 1, asc, des)
+            found.append(dict(zip(verts, picked)))
             return
-        below = [masks[j] for j in earlier[idx]]
         blocked = 0
-        for m in below:
-            blocked |= m
-        room = slots[idx + 1]
-        for mask, entry in choices[idx]:
+        for j in earlier[idx]:
+            blocked |= masks[j]
+        for mask, combo in choices[idx]:
             if mask & blocked:
                 continue
             now = used | mask
-            if gapless and now.bit_length() - 1 - now.bit_count() > room:
+            if gapless and now.bit_length() - 1 - now.bit_count() > slots[idx + 1]:
                 continue
-            gain_asc = gain_des = 0
-            for c in entry[1]:
-                uses[c] += 1
-                for m in below:
-                    gain_asc += (m & ((1 << c) - 1)).bit_count()
-                    gain_des += (m >> (c + 1)).bit_count()
             masks[idx] = mask
-            picked[idx] = entry
-            rec(idx + 1, now, asc + gain_asc, des + gain_des)
-            for c in entry[1]:
-                uses[c] -= 1
+            picked[idx] = combo
+            rec(idx + 1, now)
 
-    rec(0, 0, 0, 0)
-
-
-def proper_colorings(order: UnitIntervalOrder, mu, colors: int, *, gapless=False):
-    """All proper multi-colorings: vertex a gets mu[a-1] colors from
-    [colors], disjoint across incomparability edges. Each is a dict
-    vertex -> color tuple over the vertices of positive type.
-
-    One pass of the coloring walk collects them, in the walk's order,
-    before the first is yielded. With gapless=True only the colorings
-    whose colors are exactly {1..k} for some k are yielded; the walk
-    prunes the others exactly (see _coloring_walk).
-    """
-    mu = tuple(mu)
-    check_type(mu, order.n)
-    found = []
-    _coloring_walk(
-        order, mu, colors, gapless, lambda picked, *_: found.append(dict(picked))
-    )
+    rec(0, 0)
     yield from found
-
-
-def proper_coloring_count(order: UnitIntervalOrder, mu, colors: int) -> int:
-    mu = tuple(mu)
-    check_type(mu, order.n)
-    count = 0
-
-    def leaf(*_):
-        nonlocal count
-        count += 1
-
-    _coloring_walk(order, mu, colors, False, leaf)
-    return count
 
 
 def coloring_qsym(order: UnitIntervalOrder, mu, stat: str = "asc") -> QSymFunc:
     """The coloring generating function in the quasisymmetric monomial
-    basis, from brute-force enumeration with d = sum(mu) colors.
+    basis, summed over the proper colorings with d = sum(mu) colors.
 
     The coefficient of M_alpha counts the colorings that use color i
     exactly alpha_i times for i = 1..k, so only the gapless colorings
-    (color set {1..k}, k <= d) reach a coefficient, and only those are
-    walked. One walk tallies both statistics (see _coloring_tally), so
-    the asc and des functions of one instance, asked for one after the
-    other, cost one walk.
+    (color set {1..k}, k <= d) reach a coefficient. One transfer over
+    color classes (_coloring_tally) tallies both statistics, so the asc
+    and des functions of one instance, asked for in turn, cost one.
     """
     mu = tuple(mu)
     check_type(mu, order.n)
@@ -191,27 +141,76 @@ def coloring_qsym(order: UnitIntervalOrder, mu, stat: str = "asc") -> QSymFunc:
 @lru_cache(maxsize=1)
 def _coloring_tally(order, mu) -> tuple:
     """({composition: QPoly in q^ascents}, {composition: QPoly in
-    q^descents}) over the gapless proper colorings with sum(mu) colors,
-    from one walk. The composition of a leaf is the use count of colors
-    1..top. The cache holds the last instance only, which is all the
-    asc-vs-des pairs in a sweep read back."""
-    counts: dict = {}  # (composition, ascents, descents) -> colorings
+    q^descents}) over the gapless proper colorings with sum(mu) colors.
 
-    def leaf(picked, uses, top, asc, des):
-        key = (tuple(uses[1 : top + 1]), asc, des)
-        counts[key] = counts.get(key, 0) + 1
-
-    _coloring_walk(order, mu, sum(mu), True, leaf)
-    asc: Counter = Counter()  # (composition, ascents) -> colorings
-    des: Counter = Counter()
-    for (alpha, a, d), c in counts.items():
-        asc[alpha, a] += c
-        des[alpha, d] += c
-    return _polys(asc), _polys(des)
-
-
-def asc_des_symmetry_check(order: UnitIntervalOrder, mu) -> bool:
-    return coloring_qsym(order, mu, "asc") == coloring_qsym(order, mu, "des")
+    Each color class is a chain of the order, so the colors 1, 2, ... go
+    out in turn, each to a nonempty chain of the vertices with room. All
+    earlier colors are smaller, so putting x in the new class adds one
+    ascent per earlier color on an incomparable b < x (lo_x <= b < x)
+    and one descent per earlier color on an incomparable b > x (x < b <=
+    m_x): two formulas, neither the complement of the other. The state
+    is the use counts as one int, vertex a owning mu_a bits, so a gain is
+    a popcount. It maps the cuts of the composition so far (bit k-1 for
+    partial sum k) to the q^asc and q^des sums, packed with `width` bits
+    per power of q. States are layered by the color slots filled; the
+    last layer's one state is the tally. prod C(d, mu_a) bounds every
+    coloring with d colors, and a partial sequence completes with
+    singleton classes, so that bound fixes the width. It shares no code
+    with the word route or the pairing and sink transfers. The cache
+    holds the last instance, all that a sweep's asc-vs-des pair reads.
+    """
+    n, m, d = order.n, order.m, sum(mu)
+    width = prod(comb(d, k) for k in mu).bit_length()
+    low = [0] + [1 << sum(mu[:a]) for a in range(n + 1)]  # vertex -> lowest bit
+    lo = [0] + [min(c for c in range(1, x + 1) if m[c - 1] >= x) for x in range(1, n + 1)]
+    # per vertex x, falling: its bits, lowest bit, the incomparable vertices
+    # below it (lo_x..x-1) and above it (x+1..m_x), the first vertex past m_x
+    table = [
+        (x, low[x + 1] - low[x], low[x], low[x] - low[lo[x]], low[y] - low[x + 1], y)
+        for x, y in ((x, m[x - 1] + 1) for x in range(n, 0, -1))
+    ]
+    layers: list = [{} for _ in range(d + 1)]  # slots filled -> used -> cuts -> [asc, des]
+    layers[0][0] = {0: [1, 1]}
+    for k in range(d):
+        cut = 1 << k - 1 if k else 0
+        for used, by_cuts in layers[k].items():
+            # (used after, asc shift, des shift, size) per chain, by falling
+            # first vertex; ends[j]: how many start at j or above
+            moves: list = []
+            ends = [0] * (n + 2)
+            for x, field, bit, under, over, past in table:
+                if used & field != field:
+                    grown = used | (used & field) + bit
+                    a = (used & under).bit_count() * width
+                    b = (used & over).bit_count() * width
+                    moves += [(grown, a, b, 1)] + [
+                        (grown | g, a + u, b + v, s + 1) for g, u, v, s in moves[: ends[past]]
+                    ]
+                ends[x] = len(moves)
+            items = [(cuts | cut, p, q) for cuts, (p, q) in by_cuts.items()]
+            for grown, up, down, size in moves:
+                layer = layers[k + size]
+                to = layer.get(grown)
+                if to is None:
+                    layer[grown] = {key: [p << up, q << down] for key, p, q in items}
+                    continue
+                for key, p, q in items:
+                    if (pair := to.get(key)) is None:
+                        to[key] = [p << up, q << down]
+                    else:
+                        pair[0] += p << up
+                        pair[1] += q << down
+        layers[k].clear()
+    (tally,) = layers[d].values()
+    slot, seen = (1 << width) - 1, {}  # packed -> QPoly, shared by equal sums
+    out: tuple = ({}, {})
+    for cuts, pair in tally.items():
+        alpha = subset_to_composition(d, [i + 1 for i in range(d - 1) if cuts >> i & 1])
+        for side, p in zip(out, pair):
+            if p not in seen:
+                seen[p] = QPoly([p >> i * width & slot for i in range(p.bit_length() // width + 1)])
+            side[alpha] = seen[p]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import time
 from itertools import product
 
 from chromheap.chromatic import (
-    asc_des_symmetry_check,
     chromatic_sym,
     closed_form_two_column,
     coloring_qsym,
@@ -30,6 +29,7 @@ from chromheap.partitions import (
 from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly
 from chromheap.symfunc import QSymFunc, SymFunc, basis_to_m, transition_M, _rows_to_m
+from test_chromatic import asc_des_symmetry_check
 
 
 def _report(num, name, ok, elapsed, budget):
@@ -68,7 +68,7 @@ def test_acceptance_2_theorem_coefficients():
 def test_acceptance_3_oracle_sweep():
     t0 = time.time()
     ok = True
-    for n in range(1, 6):
+    for n in range(1, 7):
         for order in UnitIntervalOrder.all_orders(n):
             mu = (1,) * n
             ok = ok and chromatic_sym(order, mu) == coloring_qsym(

@@ -19,7 +19,6 @@ from chromheap.chromatic import (
     _e_heap_sums,
     _fundamental_to_monomial,
     _sink_polys,
-    asc_des_symmetry_check,
     chromatic_sym,
     class_qsym,
     class_sym,
@@ -32,14 +31,13 @@ from chromheap.chromatic import (
     omega_chromatic_qsym,
     omega_chromatic_sym,
     positivity_report,
-    proper_coloring_count,
     proper_colorings,
     scaling_check,
     sink_sum,
 )
 from chromheap.heaps import descent_positions, enumerate_classes, enumerate_heaps, inversion_count
 from chromheap.ncsf import nc_h, pair_gamma
-from chromheap.partitions import check_type, multiset_permutations
+from chromheap.partitions import check_type, compositions, multinomial, multiset_permutations
 from chromheap.posets import DyckPath, UnitIntervalOrder
 from chromheap.qpoly import QPoly, q_factorial
 from chromheap.symfunc import NotSymmetricError, QSymFunc, SymFunc
@@ -76,6 +74,17 @@ def coloring_descents(order: UnitIntervalOrder, coloring) -> int:
                 if r > s:
                     count += 1
     return count
+
+
+def proper_coloring_count(order: UnitIntervalOrder, mu, colors: int) -> int:
+    """The number of proper multi-colorings of type mu with colors from
+    [colors]; iterating proper_colorings checks the type."""
+    return sum(1 for _ in proper_colorings(order, mu, colors))
+
+
+def asc_des_symmetry_check(order: UnitIntervalOrder, mu) -> bool:
+    """The ascent and descent coloring functions of the oracle agree."""
+    return coloring_qsym(order, mu, "asc") == coloring_qsym(order, mu, "des")
 
 
 def omega_chromatic_qsym_by_words(order: UnitIntervalOrder, mu) -> QSymFunc:
@@ -362,16 +371,58 @@ def test_gapless_colorings_match_the_filtered_stream(case, extra):
     assert full == list(_proper_colorings_by_generator(order, mu, colors))
     pruned = list(proper_colorings(order, mu, colors, gapless=True))
     assert pruned == [k for k in full if _is_gapless(k)]
-    want = {
-        stat: _coloring_qsym_by_monomials(order, mu, colors, stat)
-        for stat in ("asc", "des")
-    }
     # the reference takes sum(mu) + extra colors, the oracle sum(mu)
+    _assert_oracle_matches_the_monomials(order, mu, colors)
+
+
+def _assert_oracle_matches_the_monomials(order, mu, colors):
+    want = {
+        stat: _coloring_qsym_by_monomials(order, mu, colors, stat) for stat in ("asc", "des")
+    }
     for first, second in (("asc", "des"), ("des", "asc")):
         _coloring_tally.cache_clear()
-        # the first call walks, the second reads the tally of that walk
-        assert coloring_qsym(order, mu, first) == want[first]
-        assert coloring_qsym(order, mu, second) == want[second]
+        # the first call runs the transfer, the second reads its tally
+        assert coloring_qsym(order, mu, first) == want[first], (order.m, mu, first)
+        assert coloring_qsym(order, mu, second) == want[second], (order.m, mu, second)
+
+
+def test_coloring_transfer_matches_the_monomials():
+    for n in range(1, 6):
+        for order in UnitIntervalOrder.all_orders(n):
+            _assert_oracle_matches_the_monomials(order, (1,) * n, n)
+    for mu in [(3, 2, 2), (1, 1, 2), (0, 0, 2), (4, 0, 1)]:
+        _assert_oracle_matches_the_monomials(P233, mu, sum(mu))
+
+
+def test_coloring_transfer_closed_forms():
+    # the chain 1 < ... < n has no edge, so every coloring is proper and
+    # [M_alpha] = n!/prod(alpha_i!) at q^0; the antichain n,...,n is the
+    # complete graph, so only M_{1^n} appears, with [n]_q!
+    for n in range(1, 8):
+        mu = (1,) * n
+        chain = UnitIntervalOrder(tuple(range(1, n + 1)))
+        free = {alpha: QPoly((multinomial(alpha),)) for alpha in compositions(n)}
+        complete = UnitIntervalOrder((n,) * n)
+        for stat in ("asc", "des"):
+            assert coloring_qsym(chain, mu, stat).terms == free
+            assert coloring_qsym(complete, mu, stat).terms == {mu: q_factorial(n)}
+
+
+def test_coloring_transfer_takes_no_other_route(monkeypatch):
+    # the oracle checks the word route, so it must run none of its code,
+    # nor that of the pairing and sink transfers
+    instances = [(P233, (3, 2, 2)), (P23455, (1,) * 5)]
+    want = [(coloring_qsym(order, mu), coloring_qsym(order, mu, "des")) for order, mu in instances]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coloring oracle took another route")
+
+    word_route = ("_descent_polys", "_fundamental_to_monomial", "_unpack")
+    for name in (*word_route, "_pairings", "_sink_polys"):
+        monkeypatch.setattr(chromatic, name, refuse)
+    _coloring_tally.cache_clear()
+    got = [(coloring_qsym(order, mu), coloring_qsym(order, mu, "des")) for order, mu in instances]
+    assert got == want
 
 
 def test_gapless_colorings_edge_cases():

@@ -1,9 +1,9 @@
 """The benchmark tracer in benchmarks/child.py still finds every name it
 wraps, so a renamed or unbound function fails here, not in a benchmark;
 and one traced call per subcommand, and the e expansion and the sinks
-suite, run through the wrapped names, so a change that breaks a wrapped
-call (such as Heap.from_word, coeff_e_* or m_in_basis_coords) fails
-here too."""
+and oracle suites, run through the wrapped names, so a change that
+breaks a wrapped call (such as coloring_qsym, coeff_e_* or
+m_in_basis_coords) fails here too."""
 
 import os
 import subprocess
@@ -31,6 +31,7 @@ def test_benchmark_tracer_installs():
         ("verify", "--max-n", "2"),
         ("expand", "--poset", "2,3,4,5,5", "--basis", "e"),
         ("verify", "--suite", "sinks", "--max-n", "3"),
+        ("verify", "--suite", "oracle", "--max-n", "3"),
     ],
     ids=" ".join,
 )
