@@ -3,27 +3,27 @@
 Two independent routes are provided. The word route is primary: it
 assembles the omega image of the function as the sum over words w of
 q^inv(w) F_Des(w): a dynamic program over word prefixes, keyed by (used
-multiset, last letter), sums the q-weights per descent set, and a
-subset-sum transform (shared with the heap and class functions) turns
-the fundamental expansion into the monomial one; the symmetry check then
-guards the result. X itself comes from the same descent masks, each
-complemented: F_S -> F_{S^c} is omega on symmetric functions. That
-complement is the one way omega is taken on the quasisymmetric side:
-the e-checks read X in e directly, and the h-positivity of a class
-function is read as the e-positivity of its omega image, taken from the
-class words' complemented masks, so no route reads h-coordinates. The
-coloring oracle checks it: a transfer over the vertex use counts sums
-the gapless proper colorings with d = sum(mu) colors one color class, a
-chain of the order, at a time, the ascents and descents each on its own
-formula. It shares no code with the word route. The loops over all words
-and all colorings of the type live in the tests, as the references they
-compare against. Theorem-driven coefficient formulas (pairings, rank
-profiles of heaps, sink counts) are always cross-checked against the
-linear-algebra route; a disagreement raises CrossCheckError. The heap
-sides of the two-column and hook checks share one cached walk over the
-canonical words of a type, which reads the statistics of each heap as
-its blocks drop; the sink check sums the same words by a transfer over
-prefix states.
+multiset, bounds below the last letter), sums the q-weights of every
+descent set in one int per state, and a subset-sum transform (shared
+with the heap and class functions) turns the fundamental expansion into
+the monomial one; the symmetry check then guards the result. X itself
+comes from the same descent masks, each complemented: F_S -> F_{S^c} is
+omega on symmetric functions. That complement is the one way omega is
+taken on the quasisymmetric side: the e-checks read X in e directly,
+and the h-positivity of a class function is read as the e-positivity of
+its omega image, taken from the class words' complemented masks, so no
+route reads h-coordinates. The coloring oracle checks it: a transfer
+over the vertex use counts sums the gapless proper colorings with d =
+sum(mu) colors one color class, a chain of the order, at a time, the
+ascents and descents each on its own formula. It shares no code with
+the word route. The loops over all words and all colorings of the type
+live in the tests, as the references they compare against.
+Theorem-driven coefficient formulas (pairings, rank profiles of heaps,
+sink counts) are always cross-checked against the linear-algebra route;
+a disagreement raises CrossCheckError. The heap sides of the two-column
+and hook checks share one cached walk over the canonical words of a
+type, which reads the statistics of each heap as its blocks drop; the
+sink check sums the same words by a transfer over prefix states.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from math import comb, prod
 
 from .errors import MathematicalError
 from .heaps import Heap, HeapClass, descent_positions, enumerate_classes
-from .heaps import _drop_tables
+from .heaps import _drop_tables, _forbidden_paths
 
 # unused here; bound for benchmarks/child.py, which wraps them in this namespace
 from .heaps import enumerate_heaps  # noqa: F401
@@ -263,53 +263,48 @@ def _descent_polys(order, mu, width) -> dict:
     Appending letter a to a prefix adds one inversion per earlier copy of
     a letter b in a+1..m_a (the larger letters incomparable to a), and a
     descent exactly when the last letter lies above a, i.e. exceeds m_a.
-    Both depend only on (used multiset, last letter), so the prefixes are
-    summed per state; each state maps descent masks to polynomials.
-    `used` is one int, letter a owning mu_a bits filled from the bottom,
-    so the inversions are a popcount. The child of `used` for a letter of
-    bound t sums the dicts of all last letters, those above t with the
-    new descent bit set (it is new, so nothing collides). It is built for
-    the least bound; each larger one moves the last letters up to it back
-    to the old masks. Letters of one bound share it, each with its own
-    shift, applied where it is read.
+    So the prefixes are summed per (used multiset, group of the last
+    letter: the bounds below it). `used` is one int, letter a owning mu_a
+    bits from the bottom, so the inversions are a popcount. A state
+    holds all its descent masks in one int, the mask the high index: a
+    slot of (most inversions + 1) * width bits, whole bytes, per mask.
+    The new descent bit is above every bit set so far, so the child for
+    a letter of bound t is the groups up to t plus the others shifted
+    once, summed group by group as t grows; its inversions shift it
+    once more. One to_bytes pass cuts the last sum into masks.
     """
-    m, n = order.m, len(mu)
+    m, n, d = order.m, len(mu), sum(mu)
     low = [0] + [1 << sum(mu[:a]) for a in range(n + 1)]  # letter -> lowest bit
     field = [y - x for x, y in zip(low, low[1:])]  # letter -> its bits
-    layer = {0: {0: (0, {0: 1})}}  # used -> last letter -> (shift, mask -> poly)
-    for k in range(sum(mu)):
-        bit = 1 << (k - 1) if k else 0
+    group = [sum(t < a for t in set(m)) for a in range(n + 1)]  # letter -> bounds below it
+    most = sum(mu[a - 1] * sum(mu[a : m[a - 1]]) for a in range(1, n + 1))
+    size = -(-(most + 1) * width // 8)  # bytes per mask
+    layer = {0: {0: 1}}  # used -> group of the last letter -> packed masks
+    for k in range(d):
+        bit = 8 * size << k - 1 if k else 0
         nxt: dict = {}
-        for used, by_last in layer.items():
-            # the letters with room, by increasing bound
-            letters = [a for a in range(1, n + 1) if used & field[a] != field[a]]
-            t = m[letters[0] - 1]
-            child: dict = {}
-            for last, (shift, masks) in by_last.items():
-                extra = bit if last > t else 0
-                for mask, p in masks.items():
-                    child[mask | extra] = child.get(mask | extra, 0) + (p << shift)
-            above = sorted(last for last in by_last if last > t)
-            shared = None
-            for a in letters:
-                if m[a - 1] != t:
-                    t, shared = m[a - 1], None
-                    while above and above[0] <= t:
-                        shift, masks = by_last[above.pop(0)]
-                        for mask, p in masks.items():
-                            if rest := child.pop(mask | bit) - (p << shift):
-                                child[mask | bit] = rest
-                            child[mask] = child.get(mask, 0) + (p << shift)
-                shared = shared or dict(child)
+        while layer:  # the old layer is consumed as the new one grows
+            used, by_group = layer.popitem()
+            total = sum(by_group.values())
+            groups = sorted(by_group.items(), reverse=True)
+            t = below = 0
+            for a in range(1, n + 1):
+                if used & field[a] == field[a]:
+                    continue
+                if m[a - 1] > t:
+                    # the last letters not above t: groups up to t's own
+                    t = m[a - 1]
+                    while groups and groups[-1][0] <= group[t]:
+                        below += groups.pop()[1]
+                    child = below + (total - below << bit)
                 shift = (used & (low[t + 1] - low[a + 1])).bit_count() * width
-                nxt.setdefault(used | (used & field[a]) + low[a], {})[a] = (shift, shared)
+                to = nxt.setdefault(used | (used & field[a]) + low[a], {})
+                to[group[a]] = to.get(group[a], 0) + (child << shift)
         layer = nxt
-    out: dict = {}
-    for by_last in layer.values():
-        for shift, masks in by_last.values():
-            for mask, p in masks.items():
-                out[mask] = out.get(mask, 0) + (p << shift)
-    return out
+    total = sum(p for by_group in layer.values() for p in by_group.values())
+    raw = total.to_bytes(-(-total.bit_length() // 8), "little")
+    cut = (int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size))
+    return {mask: p for mask, p in enumerate(cut) if p}
 
 
 def _unpack(packed: int, width: int) -> QPoly:
@@ -655,12 +650,13 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
     far in the columns touching its own. So its rank is one more than
     the highest top rank among those columns (a sink when that is 0),
     and its ascents are its lower blocks past the end of its column, as
-    in Heap.ascents. The walk keeps the lower masks of the rank-2
-    blocks, and a Heap is built from the walk's own masks, never by
-    dropping a word again, only for the W-component test of a rank <= 2
-    heap, and for test (C) of a hook candidate whose two rank-2 blocks
-    pass (A) and (B), that is, have equal lower masks (see
-    coeff_e_hook).
+    in Heap.ascents. The walk keeps the rank of each block and the lower
+    masks of the rank-2 blocks. A Heap is built from the walk's own
+    masks, never by dropping a word again, only for the W-component test
+    of a rank <= 2 heap. Test (C) of a hook candidate whose two rank-2
+    blocks pass (A) and (B), that is, have equal lower masks (see
+    coeff_e_hook), asks the masks for a first forbidden path
+    (heaps._forbidden_paths) and builds no Heap.
 
     The walk enters a letter a only when the letters left can follow it
     in a descent-free word, that is, when the lowest run of their
@@ -689,6 +685,7 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
     top = [0] * (n + 1)  # column -> rank of its top block
     run_top: dict = {}  # mask of the columns left -> top of their lowest run
     lower = [0] * d  # block -> blocks directly below it, as it drops
+    levels = [0] * d  # block -> its rank, as it drops
     rank2: list = []  # lower masks of the rank-2 blocks
     two_column: Counter = Counter()  # (bucket, ascents) -> heaps
     hooks: Counter = Counter()
@@ -698,11 +695,10 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
         h = Heap(order, cols, lower) if high <= 2 else None
         if h and all(h.component_type(c) != "W" for c in h.components):
             two_column[(d - n2, n2), asc] += 1
-        if k > 1 and n2 == 1:
+        # (A) and (B): two rank-2 blocks with equal lower masks; (C) stops at a path
+        paired = n2 == 2 and rank2[0] == rank2[1]
+        if k > 1 and (n2 == 1 or paired and not any(_forbidden_paths(touch, cols, lower, levels))):
             hooks[k - 1, asc] += 1
-        elif k > 1 and n2 == 2 and rank2[0] == rank2[1]:
-            if not (h or Heap(order, cols, lower)).forbidden_paths():
-                hooks[k - 1, asc] += 1
 
     def walk(letters, left, k, asc, high, dropped, fresh):
         # fresh: the columns touching no dropped block, where a sink can land
@@ -720,6 +716,7 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
             r = 1 + max(map(top.__getitem__, touching[a]))
             b = first[a]
             under = lower[b] = dropped & near[a]
+            levels[b] = r
             if r == 2:
                 rank2.append(under)
             sinks, free = k + (r == 1), fresh & ~touch[a]

@@ -262,6 +262,52 @@ def _flipped(lower, triple) -> tuple:
     return tuple(out)
 
 
+def _forbidden_paths(touch, cols, lower, levels):
+    """The forbidden paths of the heap with these columns, lower masks and
+    ranks, yielded lazily in lexicographic order of their column sequences.
+
+    A forbidden path is a set of blocks, one per column a_1 < ... < a_k,
+    whose columns induce a path in the incomparability graph, with
+    rank(block in a_1) = 1 and rank(block in a_j) = k - j + 1 for
+    j >= 2, such that the first three blocks form a flippable triple.
+
+    The rank r of the second block fixes k = r + 1, and each later block
+    has rank one less than the one before, so a path grows only by a
+    later column that touches the last one, no earlier one, and holds a
+    block of exactly that rank. A third block lies one rank below the
+    second in a touching column, so the second covers it, and its column
+    does not touch the first's: the triple flips exactly when the second
+    block covers the first too (see _cover_masks). Columns go in
+    increasing order and at most one block of a column covers the first
+    block, so the paths come out in lexicographic order.
+    """
+    by_col: dict = {}  # column -> rank -> block
+    present = 0  # bit a set when column a holds a block
+    for b, a in enumerate(cols):
+        by_col.setdefault(a, {})[levels[b]] = b
+        present |= 1 << a
+
+    def later(last, earlier):  # the later columns touching last, none of earlier
+        return _bits(touch[last] & present & ~earlier & ~((2 << last) - 1))
+
+    def extend(path, last, earlier):
+        want = levels[path[-1]] - 1
+        if not want:
+            yield tuple(path)
+            return
+        for a in later(last, earlier):
+            if (b := by_col[a].get(want)) is not None:
+                yield from extend(path + [b], a, earlier | touch[last])
+
+    for a1 in sorted(by_col):
+        if (p := by_col[a1].get(1)) is None:
+            continue
+        for a2 in later(a1, 0):
+            for q in by_col[a2].values():
+                if lower[q] >> p & 1 and not any(lower[x] >> p & 1 for x in _bits(lower[q])):
+                    yield from extend([p, q], a2, touch[a1])
+
+
 class Heap:
     """Immutable heap; block ids are 0..d-1, each with a column.
 
@@ -469,59 +515,9 @@ class Heap:
         raise ValueError(f"impossible rank profile n1={n1}, n2={n2}")
 
     def forbidden_paths(self) -> list:
-        """Block tuples forming a forbidden path, in lexicographic order
-        of their column sequences. A heap with one is outside the hook
-        family (see chromatic.coeff_e_hook).
-
-        A forbidden path is a set of blocks, one per column a_1 < ... < a_k,
-        whose columns induce a path in the incomparability graph, with
-        rank(block in a_1) = 1 and rank(block in a_j) = k - j + 1 for
-        j >= 2, such that the first three blocks form a flippable triple.
-
-        The rank r of the second block fixes k = r + 1, and from there on
-        each block has rank one less than the one before, so the search
-        extends a path only by a later column that touches the last
-        column, touches no earlier one, and holds a block of exactly that
-        rank. The triple is settled with the second block already: a
-        third block lies one rank below the second in a touching column,
-        so the second covers it, and its column does not touch the
-        first's; so the triple flips exactly when the second block also
-        covers the first. Columns are tried in increasing order and at
-        most one block of a column covers the first block, so the paths
-        come out in lexicographic order.
-        """
-        touch = self.order.touch
-        levels = self.levels
-        by_col: dict = {}  # column -> rank -> block
-        present = 0  # bit a set when column a holds a block
-        for b, a in enumerate(self.cols):
-            by_col.setdefault(a, {})[levels[b]] = b
-            present |= 1 << a
-        out = []
-
-        def later(last, earlier):
-            """Columns after `last` that touch it and nothing in `earlier`."""
-            return _bits(touch[last] & present & ~earlier & ~((2 << last) - 1))
-
-        def extend(path, last, earlier):
-            want = levels[path[-1]] - 1
-            if not want:
-                out.append(tuple(path))
-                return
-            for a in later(last, earlier):
-                b = by_col[a].get(want)
-                if b is not None:
-                    extend(path + [b], a, earlier | touch[last])
-
-        for a1 in sorted(by_col):
-            p = by_col[a1].get(1)
-            if p is None:
-                continue
-            for a2 in later(a1, 0):
-                for q in by_col[a2].values():
-                    if self.covers[q] >> p & 1:
-                        extend([p, q], a2, touch[a1])
-        return out
+        """The block tuples of its forbidden paths (_forbidden_paths); a heap
+        with one is outside the hook family (see chromatic.coeff_e_hook)."""
+        return list(_forbidden_paths(self.order.touch, self.cols, self.lower, self.levels))
 
     def __eq__(self, other):
         return (

@@ -19,8 +19,6 @@ inversion count, which a transfer over states sums without any word.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import MathematicalError
 from .heaps import (
     _flip_class,
@@ -279,8 +277,7 @@ def nc_m(order: UnitIntervalOrder, lam) -> NCElement:
     coords = m_in_basis_coords(sum(lam), "e")[lam]
     out = NCElement.zero(order)
     for mu, c in coords.items():
-        c = Fraction(c)
-        if c.denominator != 1:
+        if c.denominator != 1:  # an int or a Fraction
             raise NonIntegralWeightError(
                 f"non-integer weight {c} in e-expansion of m_{lam}"
             )

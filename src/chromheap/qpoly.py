@@ -7,7 +7,13 @@ coefficient is nonzero.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
+
+
+def _exact() -> tuple:
+    """int, and Fraction once fractions is loaded: none can exist before."""
+    fractions = sys.modules.get("fractions")
+    return (int, fractions.Fraction) if fractions else (int,)
 
 
 def _norm(c):
@@ -16,7 +22,7 @@ def _norm(c):
         raise TypeError("bool is not a valid coefficient")
     if isinstance(c, int):
         return c
-    if isinstance(c, Fraction):
+    if isinstance(c, _exact()):
         return int(c) if c.denominator == 1 else c
     raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
 
@@ -80,9 +86,9 @@ class QPoly:
         return _as_poly(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QPoly(c * other for c in self.coeffs)
         if not isinstance(other, QPoly):
+            if isinstance(other, _exact()):
+                return QPoly(c * other for c in self.coeffs)
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return QPoly()
@@ -136,9 +142,6 @@ class QPoly:
             i += 1
         return i >= len(cs) - 1
 
-    def scale(self, c) -> "QPoly":
-        return self * Fraction(c) if not isinstance(c, (int, Fraction)) else self * c
-
     def to_json(self):
         """Ascending coefficient list; non-integer entries as "num/den"."""
         return [
@@ -151,11 +154,12 @@ class QPoly:
         coeffs = []
         for c in data:
             if isinstance(c, str):
-                coeffs.append(Fraction(c))
-            elif isinstance(c, int):
-                coeffs.append(c)
-            else:
+                from fractions import Fraction
+
+                c = Fraction(c)
+            elif not isinstance(c, int):
                 raise ValueError(f"bad coefficient in JSON: {c!r}")
+            coeffs.append(c)
         return cls(coeffs)
 
     def pretty(self) -> str:
@@ -187,7 +191,7 @@ class QPoly:
 def _as_poly(x):
     if isinstance(x, QPoly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, _exact()):
         return QPoly((x,))
     return NotImplemented
 

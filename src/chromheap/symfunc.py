@@ -5,17 +5,16 @@ Symmetric functions are stored in the monomial basis, indexed by
 partitions of a fixed homogeneous degree. Expansions of the elementary,
 complete homogeneous, power sum and Schur bases into monomials are
 computed by counting matrices with prescribed row structure and column
-sums. Basis changes in the other direction read one cached table of the
-coordinates of each m_lam in e, s or p, peeled off the triangular
-expansions in dominance order by exact back-substitution. The forgotten
-and h coordinates go through omega, which swaps m with f and e with h,
-so they need no table of their own; omega itself reads the Schur table,
-since omega s_lam = s_lam'.
+sums. A change into e, s or p peels the function itself off the
+triangular expansions in dominance order, building the rows of its
+nonzero coordinates only; the table of the coordinates of each m_lam is
+the same peel of m_lam. The forgotten and h coordinates go through
+omega, which swaps m with f and e with h; omega itself reads the Schur
+coordinates, since omega s_lam = s_lam'.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, perm
@@ -102,6 +101,7 @@ def _rows_to_m(rows) -> dict:
     return {nu: totals[nu] // _arrangements(nu, d) for nu in partitions(d) if nu in totals}
 
 
+@lru_cache(maxsize=None)
 def _arrangements(nu, n) -> int:
     """Ways to place the parts of nu on n positions, zeros elsewhere."""
     ways = perm(n, len(nu))
@@ -130,24 +130,11 @@ def basis_to_m(basis: str, lam: tuple) -> dict:
         return _schur_to_m(lam)
     if basis == "f":
         # forgotten basis: the omega image of the monomial basis
-        return _combine(
-            (c, basis_to_m("h", mu)) for mu, c in m_in_basis_coords(d, "e")[lam].items()
-        )
+        acc: dict = {}
+        for mu, c in m_in_basis_coords(d, "e")[lam].items():
+            _add_scaled(acc, [c], basis_to_m("h", mu))
+        return {nu: x for nu in revlex_sorted(acc) if (x := acc[nu][0])}
     raise ValueError(f"unknown basis {basis!r}")
-
-
-def _combine(scaled_rows) -> dict:
-    """Sum of c * row over (c, row) pairs of sparse rows, in decreasing
-    partition order, zeros dropped and integral values as ints."""
-    acc: dict = {}
-    for c, row in scaled_rows:
-        for nu, x in row.items():
-            acc[nu] = acc.get(nu, 0) + c * x
-    return {
-        nu: x.numerator if x.denominator == 1 else x
-        for nu in revlex_sorted(acc)
-        if (x := acc[nu])
-    }
 
 
 def _schur_to_m(lam) -> dict:
@@ -193,52 +180,71 @@ def dual_jacobi_trudi(lam: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def m_in_basis_coords(d: int, basis: str) -> dict:
     """For each partition lam of d, the coordinates of m_lam in the basis:
-    ints, and Fractions only where p divides.
+    ints, and Fractions only where p divides; each row is the peel of
+    m_lam alone (_peel)."""
+    peel = {lam: _peel(d, basis, {lam: [1]}) for lam in partitions(d)}
+    return {lam: {nu: c for nu, (c,) in row.items()} for lam, row in peel.items()}
 
-    partitions(d) lists the partitions dominant first, a linear extension
-    of dominance, and e, s and p are triangular against m in it. So each
-    row is peeled off rows already known: e_{lam'} and s_lam are m_lam
-    plus lower terms, and p_lam is prod_i m_i(lam)! m_lam plus higher
-    terms.
+
+def _peel(d: int, basis: str, terms) -> dict:
+    """The coordinates in m, e, s or p of sum c_lam m_lam, from and to dicts
+    of coefficient lists by power of q, in decreasing partition order.
+
+    partitions(d) lists the partitions dominant first, and e_{lam'} and
+    s_lam are m_lam plus lower terms: the coefficient at the leading
+    monomial left is the coordinate, and its row (basis_to_m, cached) is
+    subtracted, so only the rows of nonzero coordinates are built. p_lam
+    is prod_i m_i(lam)! m_lam plus higher terms, so p peels from the
+    other end and divides by that diagonal, after scaling by d!: a
+    p-coordinate of an integral function is an integer over z_lam, which
+    divides d!, so every division is exact on ints.
     """
-    parts = partitions(d)
-    if basis == "m":
-        return {lam: {lam: 1} for lam in parts}
-    if basis not in ("e", "s", "p"):
+    if basis not in ("m", "e", "s", "p"):
         raise ValueError(f"unknown basis {basis!r}")
-    rows: dict = {}
-    for lam in parts if basis == "p" else reversed(parts):
-        # the basis element `lead` is diag * m_lam plus known monomials
-        lead = conjugate(lam) if basis == "e" else lam
-        expansion = basis_to_m(basis, lead)
-        row = _combine(
-            [(1, {lead: 1})]
-            + [(-c, rows[nu]) for nu, c in expansion.items() if nu != lam]
-        )
-        diag = expansion[lam]
-        rows[lam] = row if diag == 1 else _combine([(Fraction(1, diag), row)])
-    return {lam: rows[lam] for lam in parts}
-
-
-def _weighted_rows(coords, row) -> dict:
-    """Sum of c * row(lam) over the coordinates lam -> c, where c is a
-    QPoly and row(lam) a sparse row of exact scalars: partition -> QPoly
-    in decreasing order, zeros dropped."""
-    acc: dict = {}  # target -> q-coefficients, summed as exact scalars
-    for lam, c in coords.items():
-        coeffs = c.coeffs
-        for mu, x in row(lam).items():
-            acc_row = acc.setdefault(mu, [])
-            if len(acc_row) < len(coeffs):
-                acc_row.extend([0] * (len(coeffs) - len(acc_row)))
-            for k, v in enumerate(coeffs):
-                acc_row[k] += x * v
+    scale = factorial(d) if basis == "p" else 1
+    rest = {lam: [x * scale for x in c] for lam, c in terms.items()}
     out = {}
-    for mu in revlex_sorted(acc):
-        c = QPoly(acc[mu])
-        if c:
-            out[mu] = c
-    return out
+    for lam, lead in _leads(d, basis):
+        c = rest.pop(lam, None)  # the row below sets it again, never to be read
+        if not c or not any(c):
+            continue
+        row = basis_to_m(basis, lead)
+        if (diag := row[lam]) != 1:
+            c = [_div(x, diag) for x in c]
+        out[lead] = c if scale == 1 else [_div(x, scale) for x in c]
+        _add_scaled(rest, c, row, -1)
+    return {lam: out[lam] for lam in revlex_sorted(out)}
+
+
+@lru_cache(maxsize=None)
+def _leads(d: int, basis: str) -> tuple:
+    """(lam, the basis element led by m_lam) in the order _peel takes them."""
+    parts = partitions(d)[:: -1 if basis == "p" else 1]
+    return tuple((lam, conjugate(lam) if basis == "e" else lam) for lam in parts)
+
+
+def _div(x, y):
+    """x / y exactly: an int when y divides x, else a Fraction."""
+    if not x % y:
+        return x // y
+    from fractions import Fraction  # loaded only when a Fraction is made
+
+    return Fraction(x) / y
+
+
+def _add_scaled(acc, c, row, sign=1) -> None:
+    """acc[nu] += sign * x * c for each entry nu -> x of a sparse row, where
+    acc maps partitions to coefficient lists by power of q, as c is one."""
+    for nu, x in row.items():
+        x *= sign
+        to = acc.get(nu)
+        if to is None:
+            acc[nu] = [x * v for v in c]
+            continue
+        if len(to) < len(c):
+            to.extend([0] * (len(c) - len(to)))
+        for k, v in enumerate(c):
+            to[k] += x * v
 
 
 def monomial_ones(lam, N: int) -> int:
@@ -317,24 +323,24 @@ class SymFunc:
         return bool(self.terms)
 
     def in_basis(self, basis: str) -> dict:
-        """Coordinates in the chosen basis, partition -> QPoly: the rows
-        of m_in_basis_coords weighted by the monomial coefficients. omega
-        swaps m with f and e with h, so f and h are read off omega of the
-        function in m and e."""
+        """Coordinates in the chosen basis, partition -> QPoly, in
+        decreasing order: e, s and p are peeled off the function itself
+        (_peel). omega swaps m with f and e with h, so f and h are read
+        off omega of the function in m and e."""
         if basis == "m":
             return dict(self.terms)
         if basis in ("f", "h"):
             return self.omega().in_basis("m" if basis == "f" else "e")
-        table = m_in_basis_coords(self.degree, basis)
-        return _weighted_rows(self.terms, table.__getitem__)
+        coords = _peel(self.degree, basis, {lam: c.coeffs for lam, c in self.terms.items()})
+        return {lam: QPoly(c) for lam, c in coords.items()}
 
     def omega(self) -> "SymFunc":
         """The involution exchanging elementary and complete bases, read
         through the Schur basis: omega s_lam = s_lam'."""
-        rows = _weighted_rows(
-            self.in_basis("s"), lambda lam: basis_to_m("s", conjugate(lam))
-        )
-        return SymFunc(self.degree, rows)
+        acc: dict = {}
+        for lam, c in self.in_basis("s").items():
+            _add_scaled(acc, c.coeffs, basis_to_m("s", conjugate(lam)))
+        return SymFunc(self.degree, {nu: QPoly(c) for nu, c in acc.items()})
 
     def is_positive_in(self, basis: str) -> bool:
         return all(c.is_nonnegative() for c in self.in_basis(basis).values())

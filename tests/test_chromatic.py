@@ -287,6 +287,54 @@ def test_word_dp_matches_word_loop_n8():
     assert omega_chromatic_qsym(order, mu) == omega_chromatic_qsym_by_words(order, mu)
 
 
+def _descent_polys_by_words(order, mu, width):
+    """Reference for _descent_polys: {descent mask: sum of q^inv packed
+    with `width` bits per power of q}, one word at a time."""
+    out: dict = {}
+    for w in multiset_permutations(mu):
+        mask = sum(1 << (i - 1) for i in descent_positions(order, w))
+        out[mask] = out.get(mask, 0) + (1 << inversion_count(order, w) * width)
+    return out
+
+
+def _most_inversions(order, mu):
+    """The inversions of a word of type mu with every incomparable pair
+    of letters inverted: mu_a mu_b over the pairs a < b <= m_a."""
+    pairs = combinations(range(1, order.n + 1), 2)
+    return sum(mu[a - 1] * mu[b - 1] for a, b in pairs if b <= order.m[a - 1])
+
+
+def test_word_dp_fills_the_top_power_of_each_slot():
+    """In the complete order every pair of letters is incomparable, so
+    the word with its letters in decreasing order has every inversion
+    there is: the top power of a slot is reached, and a carry out of it
+    would show up as a mask that has no word."""
+    for mu in [(2, 1, 2), (1, 3, 1, 1), (2, 2, 2), (3, 1, 2, 1)]:
+        order = UnitIntervalOrder((len(mu),) * len(mu))
+        width = multinomial(mu).bit_length()
+        got = chromatic._descent_polys(order, mu, width)
+        assert got == _descent_polys_by_words(order, mu, width), mu
+        top = _most_inversions(order, mu)
+        assert got[0].bit_length() == top * width + 1, mu  # one word has q^top
+
+
+def test_word_dp_with_slots_of_no_padding():
+    """Slots of whole bytes leave no spare bits when (most inversions + 1)
+    * width is a multiple of 8: neighbouring masks then touch, and the
+    DP must still equal the word loop on every such small instance."""
+    tight = 0
+    for n in range(1, 5):
+        for order in UnitIntervalOrder.all_orders(n):
+            for mu in product(range(3), repeat=n):
+                width = multinomial(mu).bit_length()
+                if not 1 < sum(mu) <= 7 or (_most_inversions(order, mu) + 1) * width % 8:
+                    continue
+                tight += 1
+                got = chromatic._descent_polys(order, mu, width)
+                assert got == _descent_polys_by_words(order, mu, width), (order.m, mu)
+    assert tight > 100
+
+
 def test_word_dp_rejects_wrong_type_length():
     with pytest.raises(ValueError):
         omega_chromatic_qsym(P233, (1, 1))
@@ -420,6 +468,8 @@ def test_coloring_transfer_takes_no_other_route(monkeypatch):
     word_route = ("_descent_polys", "_fundamental_to_monomial", "_unpack")
     for name in (*word_route, "_pairings", "_sink_polys"):
         monkeypatch.setattr(chromatic, name, refuse)
+    for name in ("_peel", "_add_scaled"):  # the basis change
+        monkeypatch.setattr(symfunc, name, refuse)
     _coloring_tally.cache_clear()
     got = [(coloring_qsym(order, mu), coloring_qsym(order, mu, "des")) for order, mu in instances]
     assert got == want
@@ -769,7 +819,8 @@ def test_heap_sides_never_take_the_basis_change(monkeypatch):
     for name in ("_descent_polys", "_fundamental_to_monomial"):
         monkeypatch.setattr(chromatic, name, refuse)
     monkeypatch.setattr(SymFunc, "in_basis", refuse)
-    monkeypatch.setattr(symfunc, "m_in_basis_coords", refuse)
+    for name in ("m_in_basis_coords", "_peel", "_add_scaled"):
+        monkeypatch.setattr(symfunc, name, refuse)
     _e_heap_sums.cache_clear()
     _sink_polys.cache_clear()
     assert (_e_heap_sums(order, mu), _sink_polys(order, mu)) == want
@@ -780,9 +831,9 @@ def test_chromatic_sym_never_takes_the_heap_sides(monkeypatch):
     want = [chromatic_sym(order, mu) for order, mu in instances]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the word route took a heap side")
+        raise AssertionError("the word route took a heap side or a transfer")
 
-    for name in ("_e_heap_sums", "_sink_polys"):
+    for name in ("_e_heap_sums", "_sink_polys", "_pairings", "_coloring_tally"):
         monkeypatch.setattr(chromatic, name, refuse)
     assert [chromatic_sym(order, mu) for order, mu in instances] == want
 

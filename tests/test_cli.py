@@ -681,7 +681,8 @@ def test_classes_json_is_byte_deterministic():
 
 def test_cli_import_pulls_in_no_class_boilerplate_modules():
     """Each call is a fresh interpreter, so importing the CLI must not drag
-    in dataclasses and the inspect chain behind it, nor typing. The child
+    in dataclasses and the inspect chain behind it, nor typing, nor
+    fractions with the decimal and numbers modules it imports. The child
     runs with -S, so no site hook can preload a module and hide its import."""
     code = (
         "import sys, json; before = set(sys.modules); import chromheap.cli; "
@@ -697,4 +698,5 @@ def test_cli_import_pulls_in_no_class_boilerplate_modules():
     added = set(json.loads(done.stdout))
     assert "chromheap.cli" in added
     banned = {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "typing"}
+    banned |= {"fractions", "decimal", "numbers"}  # loaded only where a Fraction is made
     assert not added & banned, sorted(added & banned)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 
 import chromheap.chromatic as chromatic
 import chromheap.ncsf as ncsf
+import chromheap.symfunc as symfunc
 from chromheap.chromatic import _pairings
 from chromheap.errors import MathematicalError
 from chromheap.heaps import is_descent_free
@@ -201,6 +202,7 @@ def test_pairings_never_take_the_word_route(monkeypatch, order, mu):
         monkeypatch.setattr(chromatic, name, refuse)
     monkeypatch.setattr(QSymFunc, "to_symmetric", refuse)
     monkeypatch.setattr(SymFunc, "in_basis", refuse)
+    monkeypatch.setattr(symfunc, "_peel", refuse)
     for basis in "fps":
         assert _pairings(order, mu, basis) == want[basis]
 

@@ -541,6 +541,58 @@ def test_in_basis_matches_per_product_sums():
                 }
 
 
+def test_peel_builds_the_rows_of_nonzero_coordinates_only(monkeypatch):
+    """A function with known sparse coordinates in e, s or p, some of
+    them Fractions, peels back to exactly those coordinates (the dense
+    inverse agrees), and the peel asks basis_to_m for the rows of those
+    coordinates and no others."""
+    rng = random.Random(25)
+    real = symfunc.basis_to_m
+    for d in range(1, 8):
+        for basis in "esp":
+            for _ in range(3):
+                parts = partitions(d)
+                coords = {
+                    lam: QPoly(
+                        Fraction(rng.randint(-5, 5), rng.choice((1, 1, 3)))
+                        for _ in range(rng.randint(1, 4))
+                    )
+                    for lam in rng.sample(parts, min(len(parts), rng.randint(1, 3)))
+                }
+                coords = {lam: c for lam, c in coords.items() if c}
+                f = SymFunc.from_coords(basis, d, coords)
+                asked = []
+
+                def record(b, lam):
+                    asked.append((b, lam))
+                    return real(b, lam)
+
+                monkeypatch.setattr(symfunc, "basis_to_m", record)
+                got = f.in_basis(basis)
+                monkeypatch.setattr(symfunc, "basis_to_m", real)
+                assert got == coords == _in_basis_by_products(f, basis), (d, basis)
+                assert list(got) == revlex_sorted(got)
+                assert sorted(asked) == sorted((basis, lam) for lam in coords), (d, basis)
+
+
+def test_chromatic_coordinates_match_per_product_sums():
+    """X and omega X of orders whose e-, s- and p-coordinates include
+    zeros, in the bases the expansions read, against the dense inverse."""
+    zeros = 0
+    for order, mu in [
+        (UnitIntervalOrder((2, 3, 4, 5, 5)), (1,) * 5),
+        (UnitIntervalOrder((3, 3, 3)), (2, 1, 2)),
+        (UnitIntervalOrder((1, 3, 4, 4)), (1, 2, 0, 1)),
+    ]:
+        X = chromatic_sym(order, mu)
+        for f in (X, X.omega()):
+            for basis in "esp":
+                got = f.in_basis(basis)
+                assert got == _in_basis_by_products(f, basis), (order.m, mu, basis)
+                zeros += len(partitions(f.degree)) - len(got)
+    assert zeros >= 10
+
+
 def test_eval_ones():
     assert monomial_ones((2, 1), 3) == 6
     assert monomial_ones((1, 1), 3) == 3
