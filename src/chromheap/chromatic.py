@@ -22,8 +22,9 @@ Theorem-driven coefficient formulas (pairings, rank profiles of heaps,
 sink counts) are always cross-checked against the linear-algebra route;
 a disagreement raises CrossCheckError. The heap sides of the two-column
 and hook checks share one cached walk over the canonical words of a
-type, which reads the statistics of each heap as its blocks drop; the
-sink check sums the same words by a transfer over prefix states.
+type, which reads the statistics of each heap, W components included,
+as its blocks drop and builds no Heap; the sink check sums the same
+words by a transfer over prefix states.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import combinations
 from math import comb, prod
 
 from .errors import MathematicalError
-from .heaps import Heap, HeapClass, descent_positions, enumerate_classes
+from .heaps import HeapClass, descent_positions, enumerate_classes
 from .heaps import _drop_tables, _forbidden_paths
 
 # unused here; bound for benchmarks/child.py, which wraps them in this namespace
@@ -51,7 +52,7 @@ from .partitions import (
     z_factor,
 )
 from .posets import UnitIntervalOrder
-from .qpoly import QPoly, q_factorial
+from .qpoly import QPoly
 from .symfunc import QSymFunc, SymFunc
 
 
@@ -352,11 +353,6 @@ def _complemented(d, by_mask) -> dict:
 # heap and class generating functions
 
 
-def heap_qsym(heap: Heap) -> QSymFunc:
-    """Fundamental-basis sum over the words of one heap."""
-    return _fundamental_to_monomial(*_word_masks(heap.order, heap.size, heap.words()))
-
-
 def class_qsym(cls: HeapClass) -> QSymFunc:
     """Fundamental-basis sum over the words of every heap in the class."""
     return _fundamental_to_monomial(*_class_masks(cls))
@@ -651,12 +647,15 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
     the highest top rank among those columns (a sink when that is 0),
     and its ascents are its lower blocks past the end of its column, as
     in Heap.ascents. The walk keeps the rank of each block and the lower
-    masks of the rank-2 blocks. A Heap is built from the walk's own
-    masks, never by dropping a word again, only for the W-component test
-    of a rank <= 2 heap. Test (C) of a hook candidate whose two rank-2
-    blocks pass (A) and (B), that is, have equal lower masks (see
-    coeff_e_hook), asks the masks for a first forbidden path
-    (heaps._forbidden_paths) and builds no Heap.
+    masks of the rank-2 blocks, and builds no Heap. Blocks are adjacent
+    exactly when their columns touch, so every heap of the type has the
+    same components, one id range per run of its columns
+    (UnitIntervalOrder.runs), taken once. A component of a rank <= 2
+    heap is W when it has one rank-2 block more than rank-1 blocks: when
+    twice its rank-2 blocks, read off the ranks, are its size plus one.
+    Test (C) of a hook candidate whose two rank-2 blocks pass (A) and
+    (B), that is, have equal lower masks (see coeff_e_hook), asks the
+    masks for a first forbidden path (heaps._forbidden_paths).
 
     The walk enters a letter a only when the letters left can follow it
     in a descent-free word, that is, when the lowest run of their
@@ -681,6 +680,7 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
     follow = [tuple(b for b in alphabet if not below[a] >> b & 1) for a in range(n + 1)]
     cols, first, near = _drop_tables(order, mu)
     end = [f + x for f, x in zip(first, (0, *mu))]  # column -> id past its top
+    comps = [(first[r[0]], end[r[-1]]) for r in order.runs(cols)]  # id ranges
     room = [0, *mu]
     top = [0] * (n + 1)  # column -> rank of its top block
     run_top: dict = {}  # mask of the columns left -> top of their lowest run
@@ -692,8 +692,7 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
 
     def leaf(k, asc, high):
         n2 = len(rank2)
-        h = Heap(order, cols, lower) if high <= 2 else None
-        if h and all(h.component_type(c) != "W" for c in h.components):
+        if high <= 2 and all(2 * levels[lo:hi].count(2) != hi - lo + 1 for lo, hi in comps):
             two_column[(d - n2, n2), asc] += 1
         # (A) and (B): two rank-2 blocks with equal lower masks; (C) stops at a path
         paired = n2 == 2 and rank2[0] == rank2[1]
@@ -899,17 +898,3 @@ def positivity_report(order: UnitIntervalOrder, mu) -> dict:
         "all_classes_h_positive": all(r["h_positive"] for r in class_reports),
         "e_positive": e_report.positive,
     }
-
-
-def scaling_check(order: UnitIntervalOrder, mu) -> bool:
-    """Blow-up comparison: the plain chromatic function of the blown-up
-    order equals the multi-color function times the product of
-    q-factorials of the multiplicities."""
-    mu = tuple(mu)
-    blown = order.blow_up(mu)
-    lhs = chromatic_sym(blown, (1,) * blown.n)
-    factor = QPoly.one()
-    for x in mu:
-        factor = factor * q_factorial(x)
-    rhs = chromatic_sym(order, mu).scale(factor)
-    return lhs == rhs

@@ -83,7 +83,6 @@ def build_parser() -> _Parser:
         default="all",
         choices=[*SUITES, "all"],
     )
-    p_verify.set_defaults(format="pretty")  # names the CHROMHEAP_OUT file
     return parser
 
 
@@ -112,14 +111,8 @@ def _parse_instance(args):
 
 
 def _write(args, text: str):
-    out = args.out
-    if out is None:
-        out_dir = os.environ.get("CHROMHEAP_OUT")
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-            out = os.path.join(out_dir, f"{args.command}.{args.format}")
-    if out:
-        with open(out, "w") as f:
+    if args.out:
+        with open(args.out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)

@@ -12,18 +12,19 @@ Viennot's heaps of pieces, and every heap numbers its blocks in that
 (column, position) order (_drop_tables); one drop (_drop) builds the
 masks of a word. A Heap stores its orientation as one bitmask per
 block, the blocks directly below it, and reads ranks, sinks, covers,
-ascents and words off these masks; covers take one step, because the
-touch graph on blocks is chordal (see _cover_masks); components depend
-on the columns alone. A local flip reverses the two edges of a
-flippable triple and keeps the block ids, so all the words of a heap,
-and all the heaps of a flip class, share one numbering and are told
-apart by their masks.
+ascents, words and its canonical word off these masks; covers take one
+step, because the touch graph on blocks is chordal (see _cover_masks).
+A local flip reverses the two edges of a flippable triple and keeps the
+block ids, so all the words of a heap, and all the heaps of a flip
+class, share one numbering and are told apart by their masks.
 
 Flip classes are closed on plain mask tuples (_flip_class), with the
-covers (_cover_masks), triples (_triples) and flips (_flipped, three
-mask XORs) that a Heap uses too; each member's canonical word comes
-from a lowest-bit walk. Heap objects are built only for the members
-that flip_closure and enumerate_classes return.
+covers (_cover_masks), triples (_triples), flips (_flipped, three mask
+XORs) and canonical words (_canonical, a lowest-bit walk) that a Heap
+uses too. Heap objects are built only for the members that
+flip_closure and enumerate_classes return. lex_normal_form reads the
+canonical word of a word's heap off the word, for a cache keyed by
+words (ncsf.class_representative).
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ def ltr_maxima_positions(order: UnitIntervalOrder, w) -> tuple:
 
 def has_nontrivial_ltr_maximum(order: UnitIntervalOrder, w) -> bool:
     return any(p > 1 for p in ltr_maxima_positions(order, w))
-
-
-def is_descent_free(order: UnitIntervalOrder, w) -> bool:
-    return not any(order.less(w[i + 1], w[i]) for i in range(len(w) - 1))
 
 
 def descent_free_words(order: UnitIntervalOrder, k: int, bound=None):
@@ -249,6 +246,35 @@ def _triples(covers, above) -> list:
     return out
 
 
+def _canonical(cols, lower, above) -> tuple:
+    """The canonical word of the heap with these columns, lower masks and
+    blocks covering each block (_cover_masks): its lex-least linear
+    extension, the unique descent-free word of the heap.
+
+    At each step take the free block of least column, which is the
+    lowest free id. A block becomes free when the last of its lower
+    blocks is taken, and that block is one it covers (a lower block that
+    it does not cover lies below another lower block, taken later). So
+    the walk frees only blocks covering the block just taken.
+    """
+    free = sum(1 << b for b, below in enumerate(lower) if not below)
+    done = 0
+    out = []
+    while free:
+        low = free & -free
+        b = low.bit_length() - 1
+        out.append(cols[b])
+        done |= low
+        free ^= low
+        m = above[b]
+        while m:
+            low = m & -m
+            if not lower[low.bit_length() - 1] & ~done:
+                free |= low
+            m ^= low
+    return tuple(out)
+
+
 def _flipped(lower, triple) -> tuple:
     """The lower masks after flipping a triple (p, q, r): each of the
     edges p-q and q-r moves its bit to the other end's mask, three mask
@@ -339,27 +365,6 @@ class Heap:
                 raise ValueError(f"letter {a} outside the alphabet")
         return cls(order, *_drop(order, word))
 
-    @classmethod
-    def from_levels(cls, order: UnitIntervalOrder, levels) -> "Heap":
-        """Build from a diagram given as {column: iterable of levels}.
-
-        The blocks are dropped with from_word, level by level and by
-        column within a level. Each lands one level above the highest
-        touching block dropped before it, so it lands on its given level
-        exactly when the diagram is gravity-stable: it rests on a
-        touching block one level down, and no touching block shares its
-        level. Raises ValueError for a column outside 1..n, and when the
-        diagram is empty or not gravity-stable.
-        """
-        for a in levels:
-            if not 1 <= a <= order.n:
-                raise ValueError(f"column {a} outside the alphabet")
-        cells = sorted((a, lv) for a in levels for lv in levels[a])  # in id order
-        heap = cls.from_word(order, [a for a, _ in sorted(cells, key=lambda c: c[::-1])])
-        if heap.levels != tuple(lv for _, lv in cells):
-            raise ValueError("diagram is not gravity-stable")
-        return heap
-
     @property
     def size(self) -> int:
         return len(self.cols)
@@ -416,10 +421,8 @@ class Heap:
 
     @cached_property
     def canonical_word(self) -> tuple:
-        """The unique descent-free word of the heap: the normal form of
-        any of its words, here the one read off rank by rank."""
-        by_rank = sorted(range(self.size), key=self.levels.__getitem__)
-        return lex_normal_form(self.order, [self.cols[b] for b in by_rank])
+        """The unique descent-free word of the heap (_canonical)."""
+        return _canonical(self.cols, self.lower, _cover_masks(self.lower)[1])
 
     def words(self) -> list:
         """All words of the heap (column readings of linear extensions)."""
@@ -454,11 +457,6 @@ class Heap:
             raise ValueError(f"column {a} has no block {i}")
         return b
 
-    def block_label(self, b: int) -> tuple:
-        """(column, position from the bottom) of a block id."""
-        a = self.cols[b]
-        return (a, b + 1 - bisect_left(self.cols, a))
-
     def flippable_triples(self) -> list:
         """Triples (p, q, r) with q covering both p and r, or covered by
         both, normalized so that the column of p is smaller (see
@@ -480,39 +478,6 @@ class Heap:
         """flip without the check that the triple is flippable (see
         _flipped)."""
         return Heap(self.order, self.cols, _flipped(self.lower, triple))
-
-    @cached_property
-    def components(self) -> tuple:
-        """Connected components of the adjacency graph on blocks, each
-        as sorted block ids, ordered by least block. Blocks are adjacent
-        exactly when their columns touch, whatever the orientation, so
-        a component holds the blocks of one run of columns
-        (UnitIntervalOrder.runs), a range of ids, and flips never change
-        it."""
-        cols = self.cols
-        return tuple(
-            tuple(range(bisect_left(cols, run[0]), bisect_right(cols, run[-1])))
-            for run in self.order.runs(cols)
-        )
-
-    def component_type(self, comp) -> str:
-        """Classify a rank <= 2 connected component as S, N, M or W."""
-        ranks = [self.levels[b] for b in comp]
-        if max(ranks) > 2:
-            raise ValueError("component has a block of rank above 2")
-        n1 = sum(1 for r in ranks if r == 1)
-        n2 = sum(1 for r in ranks if r == 2)
-        if n2 == 0:
-            if n1 == 1:
-                return "S"
-            raise ValueError("disconnected rank-1 blocks cannot share a component")
-        if n1 == n2:
-            return "N"
-        if n1 == n2 + 1:
-            return "M"
-        if n1 == n2 - 1:
-            return "W"
-        raise ValueError(f"impossible rank profile n1={n1}, n2={n2}")
 
     def forbidden_paths(self) -> list:
         """The block tuples of its forbidden paths (_forbidden_paths); a heap
@@ -553,14 +518,8 @@ def _flip_class(order: UnitIntervalOrder, word) -> list:
     members are the same heap exactly when their masks are equal. Each
     member then takes one pass: its covers and the blocks covering each
     block (_cover_masks, as Heap.covers does), its flippable triples
-    (_triples) and their masks (_flipped), and its canonical word.
-
-    The canonical word is the lex-least linear extension: at each step
-    take the free block of least column, which is the lowest free id.
-    A block becomes free when the last of its lower blocks is taken, and
-    that block is one it covers (a lower block that it does not cover
-    lies below another lower block, taken later). So the walk frees only
-    blocks covering the block just taken.
+    (_triples) and their masks (_flipped), and its canonical word
+    (_canonical, as Heap.canonical_word does).
 
     A start heap with no flippable triple is its own class, and its
     canonical word is the word given.
@@ -575,22 +534,7 @@ def _flip_class(order: UnitIntervalOrder, word) -> list:
         flips = [_flipped(lower, t) for t in _triples(covers, above)]
         if not flips and lower is start:
             return [(tuple(word), start)]
-        free = sum(1 << b for b, below in enumerate(lower) if not below)
-        done = 0
-        canonical = []
-        while free:
-            low = free & -free
-            b = low.bit_length() - 1
-            canonical.append(cols[b])
-            done |= low
-            free ^= low
-            m = above[b]
-            while m:
-                low = m & -m
-                if not lower[low.bit_length() - 1] & ~done:
-                    free |= low
-                m ^= low
-        out.append((tuple(canonical), lower))
+        out.append((_canonical(cols, lower, above), lower))
         for key in flips:
             if key not in seen:
                 seen.add(key)

@@ -173,19 +173,25 @@ def unique_sink_words(order: UnitIntervalOrder, k: int):
 # generating functions
 
 
-def nc_e(order: UnitIntervalOrder, k) -> NCElement:
-    """Elementary generator e_k, or the product e_lam for a tuple."""
+def _generator(order: UnitIntervalOrder, k, single) -> NCElement:
+    """single(k) for a degree k >= 1, one for degree 0, and for a tuple
+    the product of its parts' generators in turn; a negative degree is
+    a ValueError."""
     if not isinstance(k, int):
         out = NCElement.one(order)
         for part in k:
-            out = out * nc_e(order, part)
+            out = out * _generator(order, part, single)
         return out
     if k < 0:
         raise ValueError(f"negative degree {k}")
-    if k == 0:
-        return NCElement.one(order)
-    words = strictly_decreasing_words(order, k)
-    return NCElement.from_words(order, words)
+    return single(k) if k else NCElement.one(order)
+
+
+def nc_e(order: UnitIntervalOrder, k) -> NCElement:
+    """Elementary generator e_k, or the product e_lam for a tuple."""
+    return _generator(
+        order, k, lambda j: NCElement.from_words(order, strictly_decreasing_words(order, j))
+    )
 
 
 def nc_h(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
@@ -196,26 +202,20 @@ def nc_h(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
     """
     if method not in ("words", "relation"):
         raise ValueError(f"unknown method {method!r}")
-    if not isinstance(k, int):
-        out = NCElement.one(order)
-        for part in k:
-            out = out * nc_h(order, part, method)
-        return out
-    if k < 0:
-        raise ValueError(f"negative degree {k}")
-    if k == 0:
-        return NCElement.one(order)
-    if method == "words":
-        words = descent_free_words(order, k)
-        return NCElement.from_words(order, words)
-    es = [nc_e(order, j) for j in range(k + 1)]
-    hs = [es[0]]  # h_0 = e_0 = 1
-    for i in range(1, k + 1):
-        out = NCElement.zero(order)
-        for j in range(1, i + 1):
-            out = out + (-1) ** (j - 1) * (es[j] * hs[i - j])
-        hs.append(out)
-    return hs[k]
+
+    def single(k):
+        if method == "words":
+            return NCElement.from_words(order, descent_free_words(order, k))
+        es = [nc_e(order, j) for j in range(k + 1)]
+        hs = [es[0]]  # h_0 = e_0 = 1
+        for i in range(1, k + 1):
+            out = NCElement.zero(order)
+            for j in range(1, i + 1):
+                out = out + (-1) ** (j - 1) * (es[j] * hs[i - j])
+            hs.append(out)
+        return hs[k]
+
+    return _generator(order, k, single)
 
 
 def nc_p(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
@@ -227,23 +227,17 @@ def nc_p(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
     """
     if method not in ("words", "relation"):
         raise ValueError(f"unknown method {method!r}")
-    if not isinstance(k, int):
-        out = NCElement.one(order)
-        for part in k:
-            out = out * nc_p(order, part, method)
+
+    def single(k):
+        if method == "words":
+            return NCElement.from_words(order, unique_sink_words(order, k))
+        out = NCElement.zero(order)
+        for j in range(1, k + 1):
+            term = nc_e(order, j) * nc_h(order, k - j)
+            out = out + ((-1) ** (j - 1) * j) * term
         return out
-    if k < 0:
-        raise ValueError(f"negative degree {k}")
-    if k == 0:
-        return NCElement.one(order)
-    if method == "words":
-        words = unique_sink_words(order, k)
-        return NCElement.from_words(order, words)
-    out = NCElement.zero(order)
-    for j in range(1, k + 1):
-        term = nc_e(order, j) * nc_h(order, k - j)
-        out = out + ((-1) ** (j - 1) * j) * term
-    return out
+
+    return _generator(order, k, single)
 
 
 def nc_s(order: UnitIntervalOrder, lam, method: str = "tableaux") -> NCElement:
@@ -348,12 +342,6 @@ def pair_gamma(elem: NCElement, mu) -> QPoly:
     return out
 
 
-def pair_class(elem: NCElement, heap_class) -> int:
-    """Coefficient of a flip-equivalence class in the element."""
-    rep = class_representative(elem.order, heap_class.representative)
-    return elem.terms.get(rep, 0)
-
-
 def hp_recurrence_check(order: UnitIntervalOrder, lam) -> bool:
     """Check the height recurrence for a partition with length >= height:
     m_lam vanishes above the height and factors as e_h * m_(lam - 1^h)
@@ -379,7 +367,6 @@ __all__ = [
     "nc_s",
     "nc_m",
     "pair_gamma",
-    "pair_class",
     "enumerate_tableaux",
     "reading_word",
     "hp_recurrence_check",

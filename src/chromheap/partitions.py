@@ -46,19 +46,6 @@ def multinomial(mu) -> int:
     return out
 
 
-def dominates(lam, mu) -> bool:
-    """True when lam dominates mu (partial sums of lam are at least mu's)."""
-    if sum(lam) != sum(mu):
-        return False
-    a = b = 0
-    for i in range(max(len(lam), len(mu))):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a < b:
-            return False
-    return True
-
-
 def revlex_sorted(parts) -> list:
     """Partitions of equal size in decreasing reverse-lexicographic order.
 
@@ -66,17 +53,6 @@ def revlex_sorted(parts) -> list:
     order, e.g. (3,1) before (2,2) before (2,1,1).
     """
     return sorted(parts, reverse=True)
-
-
-def compositions(d: int) -> tuple:
-    """All compositions of d (tuples of positive parts, order matters)."""
-    if d == 0:
-        return ((),)
-    out = []
-    for first in range(1, d + 1):
-        for rest in compositions(d - first):
-            out.append((first,) + rest)
-    return tuple(out)
 
 
 def subset_to_composition(d: int, subset) -> tuple:
@@ -90,16 +66,6 @@ def subset_to_composition(d: int, subset) -> tuple:
         parts.append(c - prev)
         prev = c
     return tuple(parts)
-
-
-def composition_to_subset(alpha) -> frozenset:
-    """Partial sums of alpha, omitting the final total."""
-    out = []
-    s = 0
-    for part in alpha[:-1]:
-        s += part
-        out.append(s)
-    return frozenset(out)
 
 
 def words(room, k=None, after=None):

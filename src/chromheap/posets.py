@@ -197,15 +197,6 @@ class UnitIntervalOrder:
         i, i + 1 and i + 2 pairwise incomparable."""
         return not any(self.m[i - 1] >= i + 2 for i in range(1, self.n - 1))
 
-    def max_chain_length(self) -> int:
-        """Longest chain by dynamic programming (independent of bounce)."""
-        best = [1] * (self.n + 1)
-        for j in range(1, self.n + 1):
-            for i in range(1, j):
-                if self.less(i, j):
-                    best[j] = max(best[j], best[i] + 1)
-        return max(best[1:])
-
     def dyck_path(self) -> DyckPath:
         steps = []
         y = 0

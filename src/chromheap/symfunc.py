@@ -20,8 +20,6 @@ from itertools import combinations
 from math import comb, factorial, perm
 
 from .partitions import (
-    compositions,
-    composition_to_subset,
     conjugate,
     multinomial,
     multiset_permutations,
@@ -108,13 +106,6 @@ def _arrangements(nu, n) -> int:
     for x in set(nu):
         ways //= factorial(nu.count(x))
     return ways
-
-
-def transition_M(lam, mu) -> int:
-    """Number of 0/1 matrices with row sums lam and column sums mu: the
-    coefficient of m_mu in e_lam, read off the pushed e row."""
-    row = basis_to_m("e", tuple(sorted(lam, reverse=True)))
-    return row.get(tuple(sorted(mu, reverse=True)), 0)
 
 
 @lru_cache(maxsize=None)
@@ -247,17 +238,6 @@ def _add_scaled(acc, c, row, sign=1) -> None:
             to[k] += x * v
 
 
-def monomial_ones(lam, N: int) -> int:
-    """Value of m_lam with N variables all set to 1."""
-    ell = len(lam)
-    if ell > N:
-        return 0
-    count = factorial(N) // factorial(N - ell)
-    for part in set(lam):
-        count //= factorial(lam.count(part))
-    return count
-
-
 class SymFunc:
     """Homogeneous symmetric function, stored in the monomial basis."""
 
@@ -345,12 +325,6 @@ class SymFunc:
     def is_positive_in(self, basis: str) -> bool:
         return all(c.is_nonnegative() for c in self.in_basis(basis).values())
 
-    def eval_ones(self, N: int, q_value=1):
-        """Specialize all of x_1..x_N to 1 and q to q_value."""
-        return sum(
-            c(q_value) * monomial_ones(lam, N) for lam, c in self.terms.items()
-        )
-
     def to_json(self, basis: str = "m") -> dict:
         coords = self.in_basis(basis)
         return {
@@ -436,37 +410,6 @@ class QSymFunc:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def f_coords(self) -> dict:
-        """Coordinates in the fundamental basis, subset -> QPoly.
-
-        Inverts F_{n,S} = sum over supersets T of M_{alpha(T)} by
-        inclusion-exclusion.
-        """
-        d = self.degree
-        out = {}
-        for alpha in compositions(d):
-            s = composition_to_subset(alpha)
-            inside = sorted(s)
-            c = QPoly()
-            for r in range(len(inside) + 1):
-                for sub in combinations(inside, r):
-                    beta = subset_to_composition(d, set(sub))
-                    v = self.terms.get(beta)
-                    if v:
-                        c = c + v * ((-1) ** (len(inside) - r))
-            if c:
-                out[s] = c
-        return out
-
-    def omega_involution(self) -> "QSymFunc":
-        """Complement descent sets in the fundamental basis."""
-        d = self.degree
-        full = set(range(1, d))
-        out = QSymFunc(d)
-        for s, c in self.f_coords().items():
-            out = out + QSymFunc.fundamental(d, full - s, c)
-        return out
 
     def to_symmetric(self) -> SymFunc:
         """Reinterpret as a symmetric function or raise NotSymmetricError.

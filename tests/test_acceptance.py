@@ -14,22 +14,16 @@ from chromheap.chromatic import (
     coloring_qsym,
     expansion,
     positivity_report,
-    scaling_check,
     sink_sum,
 )
 from chromheap.heaps import enumerate_classes, enumerate_heaps
 from chromheap.ncsf import hp_recurrence_check, nc_e, nc_h, nc_p, nc_s, pair_gamma
-from chromheap.partitions import (
-    compositions,
-    composition_to_subset,
-    conjugate,
-    dominates,
-    partitions,
-)
+from chromheap.partitions import conjugate, partitions
 from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly
-from chromheap.symfunc import QSymFunc, SymFunc, basis_to_m, transition_M, _rows_to_m
-from test_chromatic import asc_des_symmetry_check
+from chromheap.symfunc import QSymFunc, SymFunc, basis_to_m, _rows_to_m
+from test_chromatic import asc_des_symmetry_check, scaling_check
+from test_symfunc import compositions, composition_to_subset, dominates, f_coords, transition_M
 
 
 def _report(num, name, ok, elapsed, budget):
@@ -189,7 +183,7 @@ def test_acceptance_8_substrate():
         for alpha in compositions(d):
             s = composition_to_subset(alpha)
             F = QSymFunc.fundamental(d, s, QPoly((1, 1)))
-            ok = ok and F.f_coords() == {s: QPoly((1, 1))}
+            ok = ok and f_coords(F) == {s: QPoly((1, 1))}
     # p = sum (-1)^(j-1) j e_j h_(k-j) up to degree 8
     for k in range(1, 9):
         total = {}

@@ -19,6 +19,7 @@ from chromheap.chromatic import (
     _e_heap_sums,
     _fundamental_to_monomial,
     _sink_polys,
+    _word_masks,
     chromatic_sym,
     class_qsym,
     class_sym,
@@ -27,21 +28,32 @@ from chromheap.chromatic import (
     coeff_e_two_column,
     coloring_qsym,
     expansion,
-    heap_qsym,
     omega_chromatic_qsym,
     omega_chromatic_sym,
     positivity_report,
     proper_colorings,
-    scaling_check,
     sink_sum,
 )
-from chromheap.heaps import descent_positions, enumerate_classes, enumerate_heaps, inversion_count
+from chromheap.heaps import (
+    Heap,
+    descent_positions,
+    enumerate_classes,
+    enumerate_heaps,
+    inversion_count,
+)
 from chromheap.ncsf import nc_h, pair_gamma
-from chromheap.partitions import check_type, compositions, multinomial, multiset_permutations
+from chromheap.partitions import check_type, multinomial, multiset_permutations
 from chromheap.posets import DyckPath, UnitIntervalOrder
 from chromheap.qpoly import QPoly, q_factorial
 from chromheap.symfunc import NotSymmetricError, QSymFunc, SymFunc
-from test_heaps import forbidden_paths_exhaustive, refuse_heaps_from_words, small_heap_types
+from test_heaps import (
+    component_type,
+    components,
+    forbidden_paths_exhaustive,
+    refuse_heaps_from_words,
+    small_heap_types,
+)
+from test_symfunc import compositions, eval_ones
 
 P233 = UnitIntervalOrder((2, 3, 3))
 P23455 = UnitIntervalOrder((2, 3, 4, 5, 5))
@@ -255,7 +267,7 @@ def test_q_one_specialization_counts_colorings():
         x = chromatic_sym(order, mu)
         d = sum(mu)
         for colors in (d, d + 1):
-            assert x.eval_ones(colors, 1) == proper_coloring_count(order, mu, colors)
+            assert eval_ones(x, colors) == proper_coloring_count(order, mu, colors)
 
 
 def test_chain_and_antichain_expansions():
@@ -513,6 +525,11 @@ def test_complemented_class_masks_give_omega_of_the_class():
             assert row["h_positive"] == class_sym(cls).is_positive_in("h")
 
 
+def heap_qsym(heap):
+    """Fundamental-basis sum over the words of one heap."""
+    return _fundamental_to_monomial(*_word_masks(heap.order, heap.size, heap.words()))
+
+
 def test_single_heap_function_need_not_be_symmetric():
     raised = False
     for heap in enumerate_heaps(P233, (1, 1, 1)):
@@ -696,7 +713,7 @@ def _two_column_loop(order, mu, k, l):
             n2 = sum(1 for r in h.levels if r == 2)
             if n1 != k or n2 != l:
                 continue
-            if any(h.component_type(c) == "W" for c in h.components):
+            if any(component_type(h, c) == "W" for c in components(h)):
                 continue
             out = out + QPoly.monomial(h.ascents)
     return out
@@ -742,10 +759,9 @@ def test_e_expansion_leaves_the_heaps_of_its_type_unbuilt(monkeypatch):
 
 
 def test_the_e_side_drops_no_word_to_a_heap(monkeypatch, capsys):
-    """The e-walk builds the heaps it tests (W components, hook
-    candidates) from its own masks: with Heap.from_word refused, the e
-    expansion and the heap-side verify suites still run. These types
-    have rank <= 2 heaps with W components and hook candidates."""
+    """With Heap.from_word refused, the e expansion and the heap-side
+    verify suites still run. These types have rank <= 2 heaps with W
+    components and hook candidates."""
     _e_heap_sums.cache_clear()
     refuse_heaps_from_words(monkeypatch)
     instances = [(P233, (3, 2, 2)), (P23455, (1,) * 5), *small_heap_types()]
@@ -755,6 +771,19 @@ def test_the_e_side_drops_no_word_to_a_heap(monkeypatch, capsys):
             argv = ["verify", "--suite", suite, "--poset", order.text()]
             assert cli.main([*argv, "--mu", ",".join(map(str, mu))]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_the_e_walk_builds_no_heap(monkeypatch):
+    """The e-walk reads W components and forbidden paths off its own
+    ranks and masks, so it runs with every Heap refused."""
+
+    def refuse(self, *args):
+        raise AssertionError("the e-walk built a Heap")
+
+    monkeypatch.setattr(Heap, "__init__", refuse)
+    _e_heap_sums.cache_clear()
+    for order, mu in [*small_heap_types(), (P233, (3, 2, 2))]:
+        _e_heap_sums(order, mu)
 
 
 def _assert_heap_sums_match_the_loops(order, mu):
@@ -784,7 +813,7 @@ def _buckets_by_heaps(order, mu):
 
     for h in enumerate_heaps(order, mu):
         add(sinks, h.sink_count, h)
-        if h.rank <= 2 and all(h.component_type(c) != "W" for c in h.components):
+        if h.rank <= 2 and all(component_type(h, c) != "W" for c in components(h)):
             n2 = sum(1 for r in h.levels if r == 2)
             add(two_column, (h.size - n2, n2), h)
         l = h.sink_count - 1
@@ -896,6 +925,19 @@ def test_positivity_report_running_example():
     assert rep["all_classes_h_positive"]
     assert rep["e_positive"]
     assert len(rep["classes"]) == 4
+
+
+def scaling_check(order, mu):
+    """Blow-up comparison: the plain chromatic function of the blown-up
+    order equals the multi-color function times the product of
+    q-factorials of the multiplicities."""
+    mu = tuple(mu)
+    blown = order.blow_up(mu)
+    lhs = chromatic_sym(blown, (1,) * blown.n)
+    factor = QPoly.one()
+    for x in mu:
+        factor = factor * q_factorial(x)
+    return lhs == chromatic_sym(order, mu).scale(factor)
 
 
 def test_scaling_examples():

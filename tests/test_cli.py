@@ -328,16 +328,6 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["poset"] == "2,3,3"
 
 
-def test_env_output_dir(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CHROMHEAP_OUT", str(tmp_path / "outdir"))
-    code, out, _ = run(capsys, "expand", "--poset", "2,3,3", "--format", "json")
-    assert code == 0 and out == ""
-    assert (tmp_path / "outdir" / "expand.json").exists()
-    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "2")
-    assert code == 0 and out == ""
-    assert (tmp_path / "outdir" / "verify.pretty").exists()
-
-
 def test_verify_single_poset(capsys):
     code, out, _ = run(
         capsys, "verify", "--poset", "2,3,3", "--mu", "1,1,2", "--suite", "oracle"
@@ -653,7 +643,6 @@ def _stdouts_under_hash_seeds(argv):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
-    env.pop("CHROMHEAP_OUT", None)
     outs = set()
     for seed in ("0", "1", "2"):
         env["PYTHONHASHSEED"] = seed

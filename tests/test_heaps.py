@@ -1,11 +1,13 @@
 """Heaps, canonical words, flips and the word graph."""
 
 import itertools
+from bisect import bisect_left
 from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chromheap.heaps as heaps
 import chromheap.ncsf as ncsf
 from chromheap.heaps import (
     Heap,
@@ -17,7 +19,6 @@ from chromheap.heaps import (
     flip_closure,
     has_nontrivial_ltr_maximum,
     inversion_count,
-    is_descent_free,
     lex_normal_form,
     ltr_maxima_positions,
 )
@@ -28,6 +29,70 @@ from chromheap.render import heap_svg
 P233 = UnitIntervalOrder((2, 3, 3))
 P2444 = UnitIntervalOrder((2, 4, 4, 4))
 P24555 = UnitIntervalOrder((2, 4, 5, 5, 5))
+
+
+def is_descent_free(order, w):
+    return not any(order.less(w[i + 1], w[i]) for i in range(len(w) - 1))
+
+
+def from_levels(order, levels):
+    """The heap of a diagram given as {column: iterable of levels}.
+
+    The blocks are dropped with Heap.from_word, level by level and by
+    column within a level. Each lands one level above the highest
+    touching block dropped before it, so it lands on its given level
+    exactly when the diagram is gravity-stable: it rests on a touching
+    block one level down, and no touching block shares its level.
+    Raises ValueError for a column outside 1..n, and when the diagram is
+    empty or not gravity-stable.
+    """
+    for a in levels:
+        if not 1 <= a <= order.n:
+            raise ValueError(f"column {a} outside the alphabet")
+    cells = sorted((a, lv) for a in levels for lv in levels[a])  # in id order
+    heap = Heap.from_word(order, [a for a, _ in sorted(cells, key=lambda c: c[::-1])])
+    if heap.levels != tuple(lv for _, lv in cells):
+        raise ValueError("diagram is not gravity-stable")
+    return heap
+
+
+def block_label(heap, b):
+    """(column, position from the bottom) of a block id."""
+    a = heap.cols[b]
+    return (a, b + 1 - bisect_left(heap.cols, a))
+
+
+def components(heap):
+    """Connected components of the adjacency graph on blocks, each as
+    sorted block ids, ordered by least block. Blocks are adjacent exactly
+    when their columns touch, whatever the orientation, so a component
+    holds the blocks of one run of columns (UnitIntervalOrder.runs), a
+    range of ids."""
+    cols = heap.cols
+    return tuple(
+        tuple(range(bisect_left(cols, run[0]), bisect_left(cols, run[-1] + 1)))
+        for run in heap.order.runs(cols)
+    )
+
+
+def component_type(heap, comp):
+    """Classify a rank <= 2 connected component as S, N, M or W."""
+    ranks = [heap.levels[b] for b in comp]
+    if max(ranks) > 2:
+        raise ValueError("component has a block of rank above 2")
+    n1 = sum(1 for r in ranks if r == 1)
+    n2 = sum(1 for r in ranks if r == 2)
+    if n2 == 0:
+        if n1 == 1:
+            return "S"
+        raise ValueError("disconnected rank-1 blocks cannot share a component")
+    if n1 == n2:
+        return "N"
+    if n1 == n2 + 1:
+        return "M"
+    if n1 == n2 - 1:
+        return "W"
+    raise ValueError(f"impossible rank profile n1={n1}, n2={n2}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +206,7 @@ def test_heap_equality_is_trace_equality(case, data):
     diagram: dict = {}
     for a, lv in zip(h.cols, h.levels):
         diagram.setdefault(a, []).append(lv)
-    assert Heap.from_levels(order, diagram) == h
+    assert from_levels(order, diagram) == h
 
 
 def test_lex_normal_form_edge_cases():
@@ -170,30 +235,30 @@ def test_inversions_constant_on_heap_and_equal_ascents():
 
 
 def test_from_levels():
-    heap = Heap.from_levels(P233, {1: [1], 2: [2], 3: [1]})
+    heap = from_levels(P233, {1: [1], 2: [2], 3: [1]})
     assert heap.canonical_word == (1, 3, 2)
-    supported = Heap.from_levels(P233, {1: [2], 2: [1]})
+    supported = from_levels(P233, {1: [2], 2: [1]})
     assert supported.canonical_word == (2, 1)
     with pytest.raises(ValueError):
-        Heap.from_levels(P233, {1: [2]})  # floating block
+        from_levels(P233, {1: [2]})  # floating block
     with pytest.raises(ValueError):
-        Heap.from_levels(P233, {1: [1], 2: [1]})  # overlapping blocks
+        from_levels(P233, {1: [1], 2: [1]})  # overlapping blocks
     with pytest.raises(ValueError):
-        Heap.from_levels(P233, {1: [1, 1]})  # two blocks in one cell
+        from_levels(P233, {1: [1, 1]})  # two blocks in one cell
     with pytest.raises(ValueError):
-        Heap.from_levels(P233, {})  # no block, like the empty word
+        from_levels(P233, {})  # no block, like the empty word
 
 
 def test_from_levels_rejects_columns_outside_the_alphabet():
     for a in (0, 4):
         with pytest.raises(ValueError, match=f"column {a} outside the alphabet"):
-            Heap.from_levels(P233, {a: [1]})
+            from_levels(P233, {a: [1]})
 
 
 def test_block_label_round_trip():
     heap = Heap.from_word(P233, (1, 3, 1, 2, 1, 3))
     for b in range(heap.size):
-        a, i = heap.block_label(b)
+        a, i = block_label(heap, b)
         assert heap.block(a, i) == b
     with pytest.raises(ValueError):
         heap.block(1, 9)
@@ -268,12 +333,12 @@ def test_class_ascent_values():
 
 def test_flip_reconstruction_frozen_example():
     diagram = {1: [1, 2, 5], 2: [4], 4: [1, 3], 5: [2, 4]}
-    flipped = Heap.from_levels(P24555, diagram)
+    flipped = from_levels(P24555, diagram)
     assert flipped.mu == (3, 1, 0, 2, 2)
     trip = (flipped.block(2, 1), flipped.block(4, 2), flipped.block(5, 2))
     orig = flipped.flip(trip)
     labels = sorted(
-        tuple(orig.block_label(b) for b in t) for t in orig.flippable_triples()
+        tuple(block_label(orig, b) for b in t) for t in orig.flippable_triples()
     )
     assert labels == [
         ((1, 2), (2, 1), (4, 1)),
@@ -333,16 +398,32 @@ def test_flip_closure_equals_the_canonical_word_reference():
 
 
 def test_flip_class_words_equal_the_rank_sort_route():
-    """The kernel's low-bit walk against Heap.canonical_word (rank sort
-    and lex_normal_form) on a fresh heap over the same masks."""
+    """The kernel's low-bit walk against lex_normal_form of one word of
+    each member, its blocks read off rank by rank."""
     members = 0
     for order, mu in small_heap_types():
         cols = tuple(sorted(a for a, x in enumerate(mu, 1) for _ in range(x)))
         for w in descent_free_words(order, len(cols), mu):
             for word, lower in _flip_class(order, w):
-                assert word == Heap(order, cols, lower).canonical_word, (order.m, w)
+                levels = Heap(order, cols, lower).levels
+                by_rank = sorted(range(len(cols)), key=levels.__getitem__)
+                assert word == lex_normal_form(order, [cols[b] for b in by_rank]), (order.m, w)
                 members += 1
     assert members > 20000
+
+
+def test_canonical_word_takes_no_normal_form(monkeypatch):
+    """Heap.canonical_word walks the masks (heaps._canonical), so that
+    lex_normal_form, which reads the word alone, checks it."""
+    cases = [(P233, (1, 1, 2)), (P2444, (1, 1, 1, 1)), (P24555, (2, 1, 0, 1, 2))]
+    ws = [(order, w) for order, mu in cases for w in multiset_permutations(mu)]
+    want = [lex_normal_form(order, w) for order, w in ws]
+
+    def refuse(order, word):
+        raise AssertionError("Heap.canonical_word took a normal form")
+
+    monkeypatch.setattr(heaps, "lex_normal_form", refuse)
+    assert [Heap.from_word(order, w).canonical_word for order, w in ws] == want
 
 
 def test_class_representative_equals_the_reference(monkeypatch):
@@ -375,17 +456,16 @@ def test_flip_closure_is_symmetric():
 
 
 def test_component_types():
-    single = Heap.from_word(P233, (1,))
-    assert [single.component_type(c) for c in single.components] == ["S"]
-    m_shape = Heap.from_word(P233, (1, 3, 2))
-    assert [m_shape.component_type(c) for c in m_shape.components] == ["M"]
-    w_shape = Heap.from_word(P233, (2, 1, 3))
-    assert [w_shape.component_type(c) for c in w_shape.components] == ["W"]
-    n_shape = Heap.from_word(UnitIntervalOrder((2, 2)), (1, 2))
-    assert [n_shape.component_type(c) for c in n_shape.components] == ["N"]
+    def types(heap):
+        return [component_type(heap, c) for c in components(heap)]
+
+    assert types(Heap.from_word(P233, (1,))) == ["S"]
+    assert types(Heap.from_word(P233, (1, 3, 2))) == ["M"]
+    assert types(Heap.from_word(P233, (2, 1, 3))) == ["W"]
+    assert types(Heap.from_word(UnitIntervalOrder((2, 2)), (1, 2))) == ["N"]
     tall = Heap.from_word(UnitIntervalOrder((2, 2)), (1, 2, 1))
     with pytest.raises(ValueError):
-        tall.component_type(tall.components[0])
+        component_type(tall, components(tall)[0])
 
 
 def test_component_type_exhaustive_rank_two():
@@ -396,8 +476,8 @@ def test_component_type_exhaustive_rank_two():
             for h in enumerate_heaps(order, (1,) * n):
                 if h.rank > 2:
                     continue
-                for comp in h.components:
-                    kind = h.component_type(comp)
+                for comp in components(h):
+                    kind = component_type(h, comp)
                     n1 = sum(1 for b in comp if h.levels[b] == 1)
                     n2 = sum(1 for b in comp if h.levels[b] == 2)
                     assert kind == {0: "S"}.get(n2) if n2 == 0 else True
@@ -430,7 +510,7 @@ def test_forbidden_path_absent():
 def test_forbidden_path_longer():
     # columns 1-2-3-4 form an induced path; ranks must run 1, 3, 2, 1
     order = UnitIntervalOrder((2, 3, 4, 4))
-    heap = Heap.from_levels(order, {1: [1], 2: [3], 3: [2], 4: [1]})
+    heap = from_levels(order, {1: [1], 2: [3], 3: [2], 4: [1]})
     paths = heap.forbidden_paths()
     assert any([heap.cols[b] for b in p] == [1, 2, 3, 4] for p in paths)
 
@@ -531,7 +611,7 @@ def _assert_matches_its_diagram(h):
     diagram = {}
     for b in range(h.size):
         diagram.setdefault(h.cols[b], []).append(h.levels[b])
-    rebuilt = Heap.from_levels(h.order, diagram)
+    rebuilt = from_levels(h.order, diagram)
     assert rebuilt == h
     where = {(rebuilt.cols[b], rebuilt.levels[b]): b for b in range(rebuilt.size)}
     for b in range(h.size):
@@ -757,15 +837,16 @@ class OrientedHeap:
 def _assert_matches_the_reference(h, ref):
     assert list(h.cols) == sorted(h.cols), h
     assert h.lower == ref.masks, h
-    for name in ("levels", "sinks", "ascents", "components", "canonical_word"):
+    for name in ("levels", "sinks", "ascents", "canonical_word"):
         assert getattr(h, name) == getattr(ref, name), (h, name)
+    assert components(h) == ref.components, h
     assert h.covers == tuple(sum(1 << u for u in c) for c in ref.covers), h
     levels = ref.levels
     for b, a in enumerate(h.cols):
         # blocks of one column touch, so their ranks order them
         column = sorted((u for u, c in enumerate(h.cols) if c == a), key=levels.__getitem__)
         i = column.index(b) + 1
-        assert h.block_label(b) == (a, i), (h, b)
+        assert block_label(h, b) == (a, i), (h, b)
         assert h.block(a, i) == b, (h, b)
     if h.size <= 6:
         assert h.words() == ref.words(), h

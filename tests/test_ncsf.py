@@ -10,7 +10,6 @@ import chromheap.ncsf as ncsf
 import chromheap.symfunc as symfunc
 from chromheap.chromatic import _pairings
 from chromheap.errors import MathematicalError
-from chromheap.heaps import is_descent_free
 from chromheap.ncsf import (
     NCElement,
     NonIntegralWeightError,
@@ -22,7 +21,6 @@ from chromheap.ncsf import (
     nc_m,
     nc_p,
     nc_s,
-    pair_class,
     pair_gamma,
     reading_word,
     strictly_decreasing_words,
@@ -34,6 +32,7 @@ from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly
 from chromheap.symfunc import QSymFunc, SymFunc
 from test_chromatic import orders_and_types
+from test_heaps import is_descent_free
 
 P233 = UnitIntervalOrder((2, 3, 3))
 P24555 = UnitIntervalOrder((2, 4, 5, 5, 5))
@@ -284,6 +283,11 @@ def test_pair_gamma_rejects_wrong_type_length():
     for mu in ((1, 1, 2, 0), (2, 2)):
         with pytest.raises(ValueError, match="type vector length must equal n"):
             pair_gamma(nc_h(P233, (3, 1)), mu)
+
+
+def pair_class(elem, heap_class):
+    """Coefficient of a flip-equivalence class in the element."""
+    return elem.terms.get(class_representative(elem.order, heap_class.representative), 0)
 
 
 def test_pair_class():
