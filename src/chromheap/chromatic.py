@@ -679,6 +679,7 @@ def _e_heap_sums(order, mu) -> _EHeapSums:
     touching = [tuple(c for c in alphabet if t >> c & 1) for t in touch]
     follow = [tuple(b for b in alphabet if not below[a] >> b & 1) for a in range(n + 1)]
     cols, first, near = _drop_tables(order, mu)
+    first = list(first)  # advanced in place as blocks drop
     end = [f + x for f, x in zip(first, (0, *mu))]  # column -> id past its top
     comps = [(first[r[0]], end[r[-1]]) for r in order.runs(cols)]  # id ranges
     room = [0, *mu]
@@ -808,7 +809,7 @@ def coeff_e_hook(order: UnitIntervalOrder, mu, a: int, l: int) -> QPoly:
       (A) a rank-1 block q that makes (p, q, r) a flippable triple,
       (B) q the only block directly below p and the only one directly
           below r, and
-      (C) no forbidden path anywhere in the heap (Heap.forbidden_paths).
+      (C) no forbidden path anywhere in the heap (heaps._forbidden_paths).
     Together (A) and (B) say just that p and r have the same blocks
     directly below them, all of rank 1. Then the columns of p and r do
     not touch, or one of p, r would lie directly below the other. Nor

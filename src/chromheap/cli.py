@@ -25,10 +25,10 @@ from .chromatic import (
     sink_sum,
 )
 from .errors import MathematicalError
-from .heaps import enumerate_classes
+from .heaps import Heap, _ascents, _flip_classes
 
-# unused here; bound for benchmarks/child.py, which wraps it in this namespace
-from .heaps import enumerate_heaps  # noqa: F401
+# unused here; bound for benchmarks/child.py, which wraps them in this namespace
+from .heaps import enumerate_classes, enumerate_heaps  # noqa: F401
 from .ncsf import hp_recurrence_check, nc_e, nc_h, nc_p, nc_s
 from .partitions import check_type, multinomial, partitions, revlex_sorted
 from .posets import UnitIntervalOrder
@@ -110,12 +110,13 @@ def _parse_instance(args):
     return order, mu
 
 
-def _write(args, text: str):
+def _write(args, *parts: str):
+    """Write the parts in turn, to --out or stdout, without joining them."""
     if args.out:
         with open(args.out, "w") as f:
-            f.write(text)
+            f.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def cmd_expand(args) -> int:
@@ -149,48 +150,51 @@ def cmd_expand(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    """List the flip classes as the walk closes them (heaps._flip_classes),
+    one text chunk per class, with no Heap unless --svg draws one. Each
+    JSON chunk is json.dumps of its class, indented one level further,
+    so the whole reads as json.dumps(..., indent=2) of one dict."""
     order, mu = _parse_instance(args)
-    words = multinomial(mu)
-    classes = enumerate_classes(order, mu)
-    heaps = sum(map(len, classes))
+    word_text = order.word_text
+    as_json = args.format == "json"
     if args.svg:
         os.makedirs(args.svg, exist_ok=True)
         index = []
-        for ci, cls in enumerate(classes):
-            entry = {"class": ci, "ascents": cls.ascents, "heaps": []}
-            for h in cls.heaps:
-                name = "heap_" + order.word_text(h.canonical_word) + ".svg"
-                with open(os.path.join(args.svg, name), "w") as f:
-                    f.write(heap_svg(h))
-                entry["heaps"].append(name)
-            index.append(entry)
+    chunks = []
+    heaps = 0
+    for members in _flip_classes(order, mu):
+        cols = sorted(members[0][0])
+        ascents = _ascents(cols, members[0][1])
+        names = [word_text(w) for w, _ in members]
+        heaps += len(names)
+        if as_json:
+            cls = {
+                "representative": names[0],
+                "size": len(names),
+                "ascents": ascents,
+                "members": names,
+            }
+            text = json.dumps(cls, indent=2).replace("\n", "\n    ")
+            chunks.append(f'{"," if chunks else ""}\n    {text}')
+        else:
+            chunks.append(f"  asc={ascents} [{' '.join(names)}]\n")
+        if args.svg:
+            files = []
+            for name, (_, lower) in zip(names, members):
+                files.append(f"heap_{name}.svg")
+                with open(os.path.join(args.svg, files[-1]), "w") as f:
+                    f.write(heap_svg(Heap(order, cols, lower)))
+            index.append({"class": len(index), "ascents": ascents, "heaps": files})
+    if args.svg:
         with open(os.path.join(args.svg, "classes.json"), "w") as f:
             json.dump(index, f, indent=2)
-    summary = f"words={words} heaps={heaps} classes={len(classes)}"
-    if args.format == "json":
-        data = {
-            "poset": order.text(),
-            "mu": list(mu),
-            "words": words,
-            "heaps": heaps,
-            "classes": [
-                {
-                    "representative": order.word_text(c.representative),
-                    "size": len(c),
-                    "ascents": c.ascents,
-                    "members": [order.word_text(h.canonical_word) for h in c.heaps],
-                }
-                for c in classes
-            ],
-        }
-        text = json.dumps(data, indent=2) + "\n"
+    words = multinomial(mu)
+    if as_json:
+        head = {"poset": order.text(), "mu": list(mu), "words": words, "heaps": heaps}
+        head = json.dumps(head, indent=2)[:-2]  # open: the classes follow
+        _write(args, head, ',\n  "classes": [', *chunks, "\n  ]\n}\n")
     else:
-        lines = [summary]
-        for c in classes:
-            members = " ".join(order.word_text(h.canonical_word) for h in c.heaps)
-            lines.append(f"  asc={c.ascents} [{members}]")
-        text = "\n".join(lines) + "\n"
-    _write(args, text)
+        _write(args, f"words={words} heaps={heaps} classes={len(chunks)}\n", *chunks)
     return 0
 
 

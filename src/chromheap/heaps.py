@@ -9,19 +9,23 @@ reading order, and the words of a heap are its linear extensions.
 
 A block is named by its column and its position in that column, as in
 Viennot's heaps of pieces, and every heap numbers its blocks in that
-(column, position) order (_drop_tables); one drop (_drop) builds the
-masks of a word. A Heap stores its orientation as one bitmask per
-block, the blocks directly below it, and reads ranks, sinks, covers,
-ascents, words and its canonical word off these masks; covers take one
-step, because the touch graph on blocks is chordal (see _cover_masks).
+(column, position) order (_drop_tables, built once per order and type);
+one drop (_drop) builds the masks of a word. A Heap stores its
+orientation as one bitmask per block, the blocks directly below it, and
+reads ranks, sinks, ascents, words and its canonical word off these
+masks; covers take one step, because the touch graph on blocks is
+chordal (see _cover_masks).
 A local flip reverses the two edges of a flippable triple and keeps the
 block ids, so all the words of a heap, and all the heaps of a flip
 class, share one numbering and are told apart by their masks.
 
 Flip classes are closed on plain mask tuples (_flip_class), with the
 covers (_cover_masks), triples (_triples), flips (_flipped, three mask
-XORs) and canonical words (_canonical, a lowest-bit walk) that a Heap
-uses too. Heap objects are built only for the members that
+XORs) and canonical words (_canonical, a lowest-bit walk that
+Heap.canonical_word runs too). The classes of a type come from one walk
+over its descent-free words (_flip_classes), which holds only the open
+classes; the classes command renders each as it closes, from the
+masks, and Heap objects are built only for the members that
 flip_closure and enumerate_classes return. lex_normal_form reads the
 canonical word of a word's heap off the word, for a cache keyed by
 words (ncsf.class_representative).
@@ -139,15 +143,29 @@ def _bits(mask: int):
         mask ^= low
 
 
+# drop tables of the last order asked for, keyed by its bound sequence then
+# by type; a new order clears the dict, so sweeps stay bounded
+_tables: dict = {}
+
+
 def _drop_tables(order: UnitIntervalOrder, mu) -> tuple:
     """(cols, first, near) for the blocks of type mu in (column,
     position) order: cols is the column of each id, sorted; first[a] is
-    the least id of column a (a fresh list, which a drop advances), and
-    near[a] the mask of the ids in the columns touching a. Only the
-    columns present are visited: those touching a run from the lowest
-    set bit of touch[a] to its highest (bounds increase), so their ids
-    are one range of cols.
+    the least id of column a, and near[a] the mask of the ids in the
+    columns touching a. Only the columns present are visited: those
+    touching a run from the lowest set bit of touch[a] to its highest
+    (bounds increase), so their ids are one range of cols.
+
+    The tables are built once per order and type; first is a tuple, so
+    a drop that advances it takes its own list.
     """
+    by_type = _tables.get(order.m)
+    if by_type is None:
+        _tables.clear()
+        by_type = _tables[order.m] = {}
+    tables = by_type.get(mu)
+    if tables is not None:
+        return tables
     cols = tuple(a for a, x in enumerate(mu, 1) for _ in range(x))
     touch = order.touch
     first = [0] * (order.n + 1)
@@ -158,7 +176,8 @@ def _drop_tables(order: UnitIntervalOrder, mu) -> tuple:
             t = touch[a]
             lo = bisect_left(cols, (t & -t).bit_length() - 1)
             near[a] = (1 << bisect_right(cols, t.bit_length() - 1)) - (1 << lo)
-    return cols, first, near
+    tables = by_type[mu] = cols, tuple(first), tuple(near)
+    return tables
 
 
 def _drop(order: UnitIntervalOrder, word) -> tuple:
@@ -175,6 +194,7 @@ def _drop(order: UnitIntervalOrder, word) -> tuple:
     that it checks the drop independently.
     """
     cols, first, near = _drop_tables(order, word_type(word, order.n))
+    first = list(first)
     lower = [0] * len(cols)
     dropped = 0
     for a in word:
@@ -273,6 +293,13 @@ def _canonical(cols, lower, above) -> tuple:
                 free |= low
             m ^= low
     return tuple(out)
+
+
+def _ascents(cols, lower) -> int:
+    """Oriented adjacencies whose lower block sits in a larger column:
+    the ids from the end of a block's column on."""
+    end = {a: b + 1 for b, a in enumerate(cols)}  # column -> past its top
+    return sum((below >> end[a]).bit_count() for a, below in zip(cols, lower))
 
 
 def _flipped(lower, triple) -> tuple:
@@ -414,12 +441,6 @@ class Heap:
         return len(self.sinks)
 
     @cached_property
-    def covers(self) -> tuple:
-        """For each block, the mask of the blocks it covers in the heap
-        order, taken in one step (see _cover_masks)."""
-        return tuple(_cover_masks(self.lower)[0])
-
-    @cached_property
     def canonical_word(self) -> tuple:
         """The unique descent-free word of the heap (_canonical)."""
         return _canonical(self.cols, self.lower, _cover_masks(self.lower)[1])
@@ -445,44 +466,7 @@ class Heap:
 
     @cached_property
     def ascents(self) -> int:
-        """Oriented adjacencies whose lower block sits in a larger column:
-        the ids from the end of a block's column on."""
-        end = {a: b + 1 for b, a in enumerate(self.cols)}  # column -> past its top
-        return sum((below >> end[a]).bit_count() for a, below in zip(self.cols, self.lower))
-
-    def block(self, a: int, i: int) -> int:
-        """Id of the i-th lowest block (1-based) in column a."""
-        b = bisect_left(self.cols, a) + i - 1
-        if i < 1 or b >= self.size or self.cols[b] != a:
-            raise ValueError(f"column {a} has no block {i}")
-        return b
-
-    def flippable_triples(self) -> list:
-        """Triples (p, q, r) with q covering both p and r, or covered by
-        both, normalized so that the column of p is smaller (see
-        _triples)."""
-        cols = self.cols
-        out = _triples(*_cover_masks(self.lower))
-        out.sort(key=lambda t: (cols[t[0]], cols[t[1]], cols[t[2]], t))
-        return out
-
-    def flip(self, triple) -> "Heap":
-        """Reverse the orientation on the two edges of a flippable triple."""
-        p, q, r = triple
-        triples = self.flippable_triples()
-        if triple not in triples and (r, q, p) not in triples:
-            raise ValueError(f"{triple} is not flippable")
-        return self._flip(triple)
-
-    def _flip(self, triple) -> "Heap":
-        """flip without the check that the triple is flippable (see
-        _flipped)."""
-        return Heap(self.order, self.cols, _flipped(self.lower, triple))
-
-    def forbidden_paths(self) -> list:
-        """The block tuples of its forbidden paths (_forbidden_paths); a heap
-        with one is outside the hook family (see chromatic.coeff_e_hook)."""
-        return list(_forbidden_paths(self.order.touch, self.cols, self.lower, self.levels))
+        return _ascents(self.cols, self.lower)
 
     def __eq__(self, other):
         return (
@@ -517,9 +501,9 @@ def _flip_class(order: UnitIntervalOrder, word) -> list:
     The word is dropped once (_drop). Flips keep the block ids, so two
     members are the same heap exactly when their masks are equal. Each
     member then takes one pass: its covers and the blocks covering each
-    block (_cover_masks, as Heap.covers does), its flippable triples
-    (_triples) and their masks (_flipped), and its canonical word
-    (_canonical, as Heap.canonical_word does).
+    block (_cover_masks), its flippable triples (_triples) and their
+    masks (_flipped), and its canonical word (_canonical, as
+    Heap.canonical_word does).
 
     A start heap with no flippable triple is its own class, and its
     canonical word is the word given.
@@ -601,24 +585,34 @@ def flip_closure(heap: Heap) -> list:
     ]
 
 
-def enumerate_classes(order: UnitIntervalOrder, mu) -> list:
-    """Flip-equivalence classes of heaps of the given type, sorted by
-    representative.
+def _flip_classes(order: UnitIntervalOrder, mu):
+    """The flip classes of the type, in order of representative, each as
+    the (canonical word, lower masks) list of _flip_class; its members
+    have the columns sorted(word).
 
     The descent-free words of the type come in lexicographic order, so
-    the first word of a class met is its representative.
+    the first word of a class met is its least, and the walk closes the
+    class there. It keeps only the member words not reached yet, and
+    drops each when it meets it: it holds the open classes, not every
+    heap.
     """
-    mu = tuple(mu)
-    check_type(mu, order.n)
-    cols = tuple(a for a, x in enumerate(mu, 1) for _ in range(x))
-    classes = []
-    done = set()
-    for w in descent_free_words(order, len(cols), mu):
-        if w in done:
+    ahead = set()
+    for w in descent_free_words(order, sum(mu), mu):
+        if w in ahead:
+            ahead.remove(w)
             continue
         members = _flip_class(order, w)
-        done.update(m for m, _ in members)
-        classes.append(
-            HeapClass(_member(order, cols, lower, m) for m, lower in members)
-        )
-    return classes
+        ahead.update(m for m, _ in members[1:])
+        yield members
+
+
+def enumerate_classes(order: UnitIntervalOrder, mu) -> list:
+    """Flip-equivalence classes of heaps of the given type, sorted by
+    representative (_flip_classes)."""
+    mu = tuple(mu)
+    check_type(mu, order.n)
+    cols = _drop_tables(order, mu)[0]
+    return [
+        HeapClass(_member(order, cols, lower, m) for m, lower in members)
+        for members in _flip_classes(order, mu)
+    ]

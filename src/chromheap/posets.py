@@ -111,10 +111,6 @@ class UnitIntervalOrder:
     def comparable(self, i: int, j: int) -> bool:
         return self.less(i, j) or self.less(j, i)
 
-    def adjacent(self, i: int, j: int) -> bool:
-        """Edge of the incomparability graph (distinct, incomparable)."""
-        return i != j and not self.comparable(i, j)
-
     @cached_property
     def touch(self) -> tuple:
         """Bit b of touch[a] is set when a == b or a, b are incomparable,

@@ -49,7 +49,9 @@ from chromheap.symfunc import NotSymmetricError, QSymFunc, SymFunc
 from test_heaps import (
     component_type,
     components,
+    forbidden_paths,
     forbidden_paths_exhaustive,
+    flippable_triples,
     refuse_heaps_from_words,
     small_heap_types,
 )
@@ -671,7 +673,7 @@ def _in_hook_family_abc(h, l):
         return False
     p, r = rank2
     q = None
-    for x, y, z in h.flippable_triples():
+    for x, y, z in flippable_triples(h):
         if h.levels[y] == 1 and {x, z} == {p, r}:
             q = y
             break
@@ -689,7 +691,7 @@ def _in_hook_family_by_masks(h, l):
     rank2 = [h.lower[b] for b in range(h.size) if h.levels[b] == 2]
     if h.sink_count != l + 1 or len(rank2) not in (1, 2):
         return False
-    return len(rank2) == 1 or rank2[0] == rank2[1] and not h.forbidden_paths()
+    return len(rank2) == 1 or rank2[0] == rank2[1] and not forbidden_paths(h)
 
 
 def test_hook_family_equals_conditions_a_b_c():

@@ -15,10 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import chromheap.chromatic as chromatic
 import chromheap.cli as cli
+import chromheap.heaps as heaps
 import chromheap.ncsf as ncsf
 import chromheap.symfunc as symfunc
 from chromheap.chromatic import CrossCheckError, expansion, positivity_report
 from chromheap.cli import main
+from chromheap.heaps import Heap
 from chromheap.ncsf import NonIntegralWeightError
 from chromheap.partitions import partitions
 from chromheap.posets import UnitIntervalOrder
@@ -228,6 +230,16 @@ def test_classes_json(capsys):
     assert sorted(c["ascents"] for c in data["classes"]) == [0, 1, 2, 3]
 
 
+# the --svg output at 2,3,3 / 1,1,2, taken while every class member was
+# a Heap: the file names, and the SHA-256 of classes.json and of the
+# diagrams concatenated in name order
+FROZEN_SVG = (
+    ["classes.json"] + [f"heap_{w}.svg" for w in ("1233", "1323", "1332", "2133", "3213", "3321")],
+    "2670cd8e72d1611931a3342323b17936bbd9740fe6552f952906ce596c9c63e0",
+    "f382aeea7a6a5fa550679b3a8a23c6d895b291455410abb6c4fe07a38edf99b5",
+)
+
+
 def test_classes_svg(tmp_path, capsys):
     svg_dir = tmp_path / "art"
     code, out, _ = run(
@@ -242,10 +254,64 @@ def test_classes_svg(tmp_path, capsys):
     )
     assert code == 0
     files = sorted(os.listdir(svg_dir))
-    assert "classes.json" in files
-    assert sum(1 for f in files if f.endswith(".svg")) == 6
-    index = json.loads((svg_dir / "classes.json").read_text())
-    assert len(index) == 4
+    names, index_digest, svg_digest = FROZEN_SVG
+    assert files == names
+    assert hashlib.sha256((svg_dir / "classes.json").read_bytes()).hexdigest() == index_digest
+    svgs = b"".join((svg_dir / f).read_bytes() for f in files if f.endswith(".svg"))
+    assert hashlib.sha256(svgs).hexdigest() == svg_digest
+    assert len(json.loads((svg_dir / "classes.json").read_text())) == 4
+
+
+# SHA-256 of stdout of `classes` in json and in pretty format, taken while
+# every class member was built as a Heap
+FROZEN_CLASSES = {
+    ("3,4,5,6,7,8,9,9,9", None): (
+        "5fe7d80e535981590934dff1c8bd834693d208a8b3a4314bfb072983bfde03da",
+        "67707292479f296b8ffdf9bc004dbade5ed4ab0273b0e6d3222d29dc0c6d885a",
+    ),
+    ("2,4,5,6,7,7,7", "2,1,1,1,1,1,2"): (
+        "b491da58f387473db94ad3e1419a374b84fa9361511f8c163da28dc3f11ed46e",
+        "606ed88ac0246aa5da52bdcc599fe90bcbfceef82e9b2e63a3941b7c9b2f56f2",
+    ),
+    ("2,3,3", "3,2,2"): (
+        "c0314aa7aa6add4d5791de32beb0f7740a963733161f6829f79976d74c309a28",
+        "c5789dbccf54a9ab71294873d8e1beedb6f8554dfe026529140435d5d832389f",
+    ),
+    # n = 10: words joined by '-'
+    ("2,3,4,5,6,7,8,9,10,10", None): (
+        "b4c092aecd98a842b9319cc05ed6d1428d3a0d328deb2b4e4610150b7627f8db",
+        "eb85835daf3a0879b4ecc76ee95821e2b60ca5464040207ecbe0fade84c92753",
+    ),
+    ("1", None): (
+        "167a172a47307adb9c62b9384edd4e4196f765df81ab25c013091591b5c2d464",
+        "9e4dbe50f9dc3e3470bc4a45562329fce7af9bd99cdcf0a1d90bac61cbe2c82f",
+    ),
+}
+
+
+def _check_frozen_classes(capsys, poset, mu):
+    for fmt, digest in zip(("json", "pretty"), FROZEN_CLASSES[poset, mu]):
+        argv = ["classes", "--poset", poset, "--format", fmt]
+        code, out, _ = run(capsys, *argv, *(["--mu", mu] if mu else []))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (poset, mu, fmt)
+
+
+@pytest.mark.parametrize("poset, mu", list(FROZEN_CLASSES))
+def test_classes_output_is_frozen(capsys, poset, mu):
+    _check_frozen_classes(capsys, poset, mu)
+
+
+def test_classes_without_svg_build_no_heap(capsys, monkeypatch):
+    """The listing reads the flip-class walk's masks; only --svg diagrams
+    need Heap objects."""
+
+    def refuse(self, *args):
+        raise RuntimeError("a Heap was built")
+
+    monkeypatch.setattr(Heap, "__init__", refuse)
+    for poset, mu in (("2,3,3", "3,2,2"), ("1", None)):
+        _check_frozen_classes(capsys, poset, mu)
 
 
 def test_classes_words_print_apart_from_n_10_on(tmp_path, capsys):
@@ -326,6 +392,12 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["poset"] == "2,3,3"
+    # classes writes its text in parts, one per class
+    argv = ("classes", "--poset", "2,3,3", "--mu", "3,2,2", "--format", "json")
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == ""
+    digest = FROZEN_CLASSES["2,3,3", "3,2,2"][0]
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 def test_verify_single_poset(capsys):
@@ -410,6 +482,8 @@ def test_per_instance_caches_hold_one_instance(capsys, monkeypatch):
     assert run(capsys, "verify", "--suite", "sinks", "--max-n", "4")[0] == 0
     for cache in caches:
         assert cache.cache_info().currsize == 1, cache
+    # the drop tables are kept for the last order of the sweep only
+    assert list(heaps._tables) == [(4, 4, 4, 4)]
 
 
 @st.composite

@@ -25,6 +25,7 @@ from chromheap.heaps import (
 from chromheap.partitions import check_type, multiset_permutations, word_type
 from chromheap.posets import UnitIntervalOrder
 from chromheap.render import heap_svg
+from test_posets import adjacent
 
 P233 = UnitIntervalOrder((2, 3, 3))
 P2444 = UnitIntervalOrder((2, 4, 4, 4))
@@ -60,6 +61,49 @@ def block_label(heap, b):
     """(column, position from the bottom) of a block id."""
     a = heap.cols[b]
     return (a, b + 1 - bisect_left(heap.cols, a))
+
+
+def block(heap, a, i):
+    """Id of the i-th lowest block (1-based) in column a."""
+    b = bisect_left(heap.cols, a) + i - 1
+    if i < 1 or b >= heap.size or heap.cols[b] != a:
+        raise ValueError(f"column {a} has no block {i}")
+    return b
+
+
+def covers(heap):
+    """For each block, the mask of the blocks it covers in the heap order."""
+    return tuple(heaps._cover_masks(heap.lower)[0])
+
+
+def flippable_triples(heap):
+    """Triples (p, q, r) with q covering both p and r, or covered by
+    both, normalized so that the column of p is smaller, sorted by
+    their columns (heaps._triples)."""
+    cols = heap.cols
+    out = heaps._triples(*heaps._cover_masks(heap.lower))
+    out.sort(key=lambda t: (cols[t[0]], cols[t[1]], cols[t[2]], t))
+    return out
+
+
+def flip_unchecked(heap, triple):
+    """The heap with the two edges of a triple reversed, unchecked."""
+    return Heap(heap.order, heap.cols, heaps._flipped(heap.lower, triple))
+
+
+def flip(heap, triple):
+    """flip_unchecked, for a flippable triple only."""
+    p, q, r = triple
+    triples = flippable_triples(heap)
+    if triple not in triples and (r, q, p) not in triples:
+        raise ValueError(f"{triple} is not flippable")
+    return flip_unchecked(heap, triple)
+
+
+def forbidden_paths(heap):
+    """The block tuples of the heap's forbidden paths; a heap with one is
+    outside the hook family (see chromatic.coeff_e_hook)."""
+    return list(heaps._forbidden_paths(heap.order.touch, heap.cols, heap.lower, heap.levels))
 
 
 def components(heap):
@@ -259,9 +303,9 @@ def test_block_label_round_trip():
     heap = Heap.from_word(P233, (1, 3, 1, 2, 1, 3))
     for b in range(heap.size):
         a, i = block_label(heap, b)
-        assert heap.block(a, i) == b
+        assert block(heap, a, i) == b
     with pytest.raises(ValueError):
-        heap.block(1, 9)
+        block(heap, 1, 9)
 
 
 def test_rank_sinks_levels():
@@ -335,10 +379,10 @@ def test_flip_reconstruction_frozen_example():
     diagram = {1: [1, 2, 5], 2: [4], 4: [1, 3], 5: [2, 4]}
     flipped = from_levels(P24555, diagram)
     assert flipped.mu == (3, 1, 0, 2, 2)
-    trip = (flipped.block(2, 1), flipped.block(4, 2), flipped.block(5, 2))
-    orig = flipped.flip(trip)
+    trip = (block(flipped, 2, 1), block(flipped, 4, 2), block(flipped, 5, 2))
+    orig = flip(flipped, trip)
     labels = sorted(
-        tuple(block_label(orig, b) for b in t) for t in orig.flippable_triples()
+        tuple(block_label(orig, b) for b in t) for t in flippable_triples(orig)
     )
     assert labels == [
         ((1, 2), (2, 1), (4, 1)),
@@ -346,23 +390,23 @@ def test_flip_reconstruction_frozen_example():
         ((2, 1), (4, 1), (5, 1)),
         ((2, 1), (4, 2), (5, 2)),
     ]
-    back = orig.flip((orig.block(2, 1), orig.block(4, 2), orig.block(5, 2)))
+    back = flip(orig, (block(orig, 2, 1), block(orig, 4, 2), block(orig, 5, 2)))
     assert back == flipped
 
 
 def test_flip_preserves_type_and_ascents():
     for h in enumerate_heaps(P233, (1, 1, 2)):
-        for t in h.flippable_triples():
-            h2 = h.flip(t)
+        for t in flippable_triples(h):
+            h2 = flip(h, t)
             assert h2.mu == h.mu
             assert h2.ascents == h.ascents
-            assert h2.flip(t) == h
+            assert flip(h2, t) == h
 
 
 def test_flip_rejects_non_flippable():
     heap = Heap.from_word(P233, (1, 2, 3))
     with pytest.raises(ValueError):
-        heap.flip((0, 1, 2))
+        flip(heap, (0, 1, 2))
 
 
 def flip_closure_by_canonical_word(heap):
@@ -372,8 +416,8 @@ def flip_closure_by_canonical_word(heap):
     frontier = [heap]
     while frontier:
         h = frontier.pop()
-        for t in h.flippable_triples():
-            h2 = h._flip(t)
+        for t in flippable_triples(h):
+            h2 = flip_unchecked(h, t)
             key = h2.canonical_word
             if key not in seen:
                 seen[key] = h2
@@ -497,26 +541,26 @@ def test_component_type_exhaustive_rank_two():
 
 def test_forbidden_path_present():
     heap = Heap.from_word(P233, (1, 3, 2))
-    paths = heap.forbidden_paths()
+    paths = forbidden_paths(heap)
     assert len(paths) == 1
     assert [heap.cols[b] for b in paths[0]] == [1, 2, 3]
 
 
 def test_forbidden_path_absent():
-    assert Heap.from_word(P233, (1, 2, 3)).forbidden_paths() == []
-    assert Heap.from_word(P233, (2, 1, 3)).forbidden_paths() == []
+    assert forbidden_paths(Heap.from_word(P233, (1, 2, 3))) == []
+    assert forbidden_paths(Heap.from_word(P233, (2, 1, 3))) == []
 
 
 def test_forbidden_path_longer():
     # columns 1-2-3-4 form an induced path; ranks must run 1, 3, 2, 1
     order = UnitIntervalOrder((2, 3, 4, 4))
     heap = from_levels(order, {1: [1], 2: [3], 3: [2], 4: [1]})
-    paths = heap.forbidden_paths()
+    paths = forbidden_paths(heap)
     assert any([heap.cols[b] for b in p] == [1, 2, 3, 4] for p in paths)
 
 
 def forbidden_paths_exhaustive(heap):
-    """Reference for Heap.forbidden_paths: every induced column path in
+    """Reference for forbidden_paths: every induced column path in
     depth-first order, with the ranks and the flippable first triple
     checked only once a path is complete."""
     order = heap.order
@@ -524,14 +568,14 @@ def forbidden_paths_exhaustive(heap):
     for b in range(heap.size):
         by_col.setdefault(heap.cols[b], {})[heap.levels[b]] = b
     columns = sorted(by_col)
-    flips = set(heap.flippable_triples())
+    flips = set(flippable_triples(heap))
     flips |= {(r, q, p) for p, q, r in flips}
     out = []
 
     def is_path(cols_):
         for x in range(len(cols_)):
             for y in range(x + 1, len(cols_)):
-                adj = order.adjacent(cols_[x], cols_[y])
+                adj = adjacent(order, cols_[x], cols_[y])
                 if y - x == 1 and not adj:
                     return False
                 if y - x > 1 and adj:
@@ -588,7 +632,7 @@ def test_forbidden_paths_equal_the_exhaustive_search():
     heaps = found = 0
     for order, mu in small_heap_types():
         for h in enumerate_heaps(order, mu):
-            paths = h.forbidden_paths()
+            paths = forbidden_paths(h)
             assert paths == forbidden_paths_exhaustive(h), h
             heaps += 1
             found += bool(paths)
@@ -747,7 +791,7 @@ class OrientedHeap:
                 for x in range(len(group)):
                     for y in range(x + 1, len(group)):
                         p, r = group[x], group[y]
-                        if self.order.adjacent(self.cols[p], self.cols[r]):
+                        if adjacent(self.order, self.cols[p], self.cols[r]):
                             continue
                         if self.cols[p] > self.cols[r]:
                             p, r = r, p
@@ -840,18 +884,18 @@ def _assert_matches_the_reference(h, ref):
     for name in ("levels", "sinks", "ascents", "canonical_word"):
         assert getattr(h, name) == getattr(ref, name), (h, name)
     assert components(h) == ref.components, h
-    assert h.covers == tuple(sum(1 << u for u in c) for c in ref.covers), h
+    assert covers(h) == tuple(sum(1 << u for u in c) for c in ref.covers), h
     levels = ref.levels
     for b, a in enumerate(h.cols):
         # blocks of one column touch, so their ranks order them
         column = sorted((u for u, c in enumerate(h.cols) if c == a), key=levels.__getitem__)
         i = column.index(b) + 1
         assert block_label(h, b) == (a, i), (h, b)
-        assert h.block(a, i) == b, (h, b)
+        assert block(h, a, i) == b, (h, b)
     if h.size <= 6:
         assert h.words() == ref.words(), h
-    for t in h.flippable_triples():
-        assert h._flip(t).lower == ref._flip(t).masks, (h, t)
+    for t in flippable_triples(h):
+        assert flip_unchecked(h, t).lower == ref._flip(t).masks, (h, t)
 
 
 def test_masks_equal_the_orientation_set_reference():
@@ -879,7 +923,7 @@ def test_flippable_triples_equal_the_tuple_reference():
     for order, mu in small_heap_types():
         for cls in enumerate_classes(order, mu):
             for h in cls.heaps:
-                triples = h.flippable_triples()
+                triples = flippable_triples(h)
                 assert triples == OrientedHeap.of(h).flippable_triples(), h
                 heaps += 1
                 flippable += bool(triples)

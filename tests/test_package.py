@@ -1,15 +1,16 @@
 """Package surface: every function and method in src has a caller.
 
-A top-level function or class method of src/chromheap whose name appears
-on no other src line, in no __all__ and in no tracer table of
+A top-level function or class method of src/chromheap whose name is
+read by no src code, in no __all__ and in no tracer table of
 benchmarks/child.py is reached by nothing but the tests. Such a name
 moves into the tests, unless it is public API, listed below with its
-reason. The scan matches whole words, so a name in a comment or a
-docstring counts as a use, and it misses dead code named there.
+reason. Uses are read off the src syntax trees: a function is used
+where a Name or an Attribute node reads it, a method only where an
+Attribute node does (a local variable of the same name is no call). So
+a name that only a comment or a docstring mentions counts as unused.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,6 +22,7 @@ ALLOWED = {
     "UnitIntervalOrder.blow_up": "public blow-up of an order by a type, the scaling law's side",
     "UnitIntervalOrder.dyck_path": "the Dyck path encoding, exported with DyckPath",
     "UnitIntervalOrder.from_dyck": "the Dyck path decoding, exported with DyckPath",
+    "_Parser.error": "argparse's hook, which ArgumentParser.parse_args calls on a usage error",
 }
 
 
@@ -38,18 +40,17 @@ def _tracer_names() -> set:
 
 
 def _uncalled() -> list:
-    lines = []  # (file, line number, text) of every src line
-    defs = []  # (qualified name, name, file, line number)
+    defs = []  # (qualified name, name, whether a method)
+    names, attrs = set(), set()  # read as a variable, as an attribute
     exported = set()
     for path in sorted(SRC.glob("*.py")):
-        text = path.read_text()
-        lines += [(path, i, line) for i, line in enumerate(text.splitlines(), 1)]
-        for node in ast.parse(text).body:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                defs.append((node.name, node.name, path, node.lineno))
+                defs.append((node.name, node.name, False))
             elif isinstance(node, ast.ClassDef):
                 defs += [
-                    (f"{node.name}.{f.name}", f.name, path, f.lineno)
+                    (f"{node.name}.{f.name}", f.name, True)
                     for f in node.body
                     if isinstance(f, ast.FunctionDef)
                 ]
@@ -57,15 +58,19 @@ def _uncalled() -> list:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
                 exported |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
     skip = exported | _tracer_names()
-    out = []
-    for qualname, name, path, lineno in defs:
-        if name.startswith("__") and name.endswith("__") or name in skip:
-            continue  # called by the language, exported or traced
-        word = re.compile(rf"\b{name}\b")
-        if not any(word.search(t) for p, i, t in lines if (p, i) != (path, lineno)):
-            out.append(qualname)
-    return sorted(out)
+    return sorted(
+        qualname
+        for qualname, name, method in defs
+        if name not in attrs | (set() if method else names)
+        and name not in skip  # exported or traced
+        and not (name.startswith("__") and name.endswith("__"))  # called by the language
+    )
 
 
 def test_every_src_name_has_a_caller_or_a_reason():
