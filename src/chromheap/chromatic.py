@@ -386,34 +386,20 @@ def class_sym(cls: HeapClass) -> SymFunc:
 # basis expansions
 
 
-class ExpansionReport:
+class ExpansionReport(
+    namedtuple("ExpansionReport", "order mu basis degree coefficients provenance positive")
+):
     """Coefficients of the chromatic function (or its omega image) in a
     basis, with per-partition provenance and positivity flags."""
 
-    _FIELDS = ("order", "mu", "basis", "degree", "coefficients", "provenance", "positive")
+    __slots__ = ()
 
-    def __init__(self, order, mu, basis, degree, coefficients, provenance):
-        self.order = order
-        self.mu = mu
-        self.basis = basis
-        self.degree = degree
-        self.coefficients = coefficients
-        self.provenance = provenance
-        self.positive = all(c.is_nonnegative() for c in coefficients.values())
+    def __new__(cls, order, mu, basis, degree, coefficients, provenance):
+        positive = all(c.is_nonnegative() for c in coefficients.values())
+        return super().__new__(cls, order, mu, basis, degree, coefficients, provenance, positive)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None  # the fields are mutable
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._FIELDS, self._values()))
-        return f"{self.__class__.__qualname__}({fields})"
+    def __getnewargs__(self):
+        return tuple(self)[:-1]  # positive is computed again
 
     def to_json(self) -> dict:
         parts = revlex_sorted(self.coefficients)

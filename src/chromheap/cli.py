@@ -90,7 +90,7 @@ def _parse_instance(args):
     if args.poset is None:
         raise UsageError("--poset is required")
     order = UnitIntervalOrder.from_text(args.poset)
-    if args.mu:
+    if args.mu is not None:
         try:
             mu = tuple(int(x) for x in args.mu.split(","))
         except ValueError as exc:

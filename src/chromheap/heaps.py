@@ -34,6 +34,7 @@ words (ncsf.class_representative).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from functools import cached_property
 
 from .partitions import check_type, word_type, words
@@ -533,34 +534,14 @@ def _member(order, cols, lower, word) -> Heap:
     return heap
 
 
-class HeapClass:
+class HeapClass(namedtuple("HeapClass", "heaps")):
     """A flip-equivalence class of heaps, sorted by canonical word.
     Frozen and hashable; the heaps are kept as a tuple."""
 
-    __slots__ = ("heaps",)
+    __slots__ = ()
 
-    def __init__(self, heaps):
-        object.__setattr__(self, "heaps", tuple(heaps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.heaps == other.heaps
-
-    def __hash__(self):
-        return hash(self.heaps)
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(heaps={self.heaps!r})"
-
-    def __reduce__(self):
-        return (self.__class__, (self.heaps,))
+    def __new__(cls, heaps):
+        return super().__new__(cls, tuple(heaps))
 
     @property
     def representative(self) -> tuple:
@@ -572,6 +553,7 @@ class HeapClass:
         return self.heaps[0].ascents
 
     def __len__(self):
+        """The number of heaps, not of fields."""
         return len(self.heaps)
 
 

@@ -141,13 +141,6 @@ class NCElement:
     def __bool__(self):
         return bool(self.terms)
 
-    def dump(self) -> str:
-        """Deterministic debug listing, one 'word: coefficient' per line."""
-        lines = []
-        for w in sorted(self.terms):
-            lines.append(f"{self.order.word_text(w)}: {self.terms[w]}")
-        return "\n".join(lines)
-
     def __repr__(self):
         n = len(self.terms)
         return f"NCElement({self.order.text()!r}, {n} classes)"

@@ -1,16 +1,18 @@
 """Commutative symmetric and quasisymmetric functions with exact
 q-polynomial coefficients.
 
-Symmetric functions are stored in the monomial basis, indexed by
-partitions of a fixed homogeneous degree. Expansions of the elementary,
-complete homogeneous, power sum and Schur bases into monomials are
-computed by counting matrices with prescribed row structure and column
-sums. A change into e, s or p peels the function itself off the
-triangular expansions in dominance order, building the rows of its
-nonzero coordinates only; the table of the coordinates of each m_lam is
-the same peel of m_lam. The forgotten and h coordinates go through
-omega, which swaps m with f and e with h; omega itself reads the Schur
-coordinates, since omega s_lam = s_lam'.
+Symmetric functions (SymFunc) are stored in the monomial basis m,
+indexed by partitions of a fixed homogeneous degree, and quasisymmetric
+functions (QSymFunc) in the monomial basis M, indexed by compositions;
+the two share one graded body (_Graded) and differ in their index check.
+Expansions of the elementary, complete homogeneous, power sum and Schur
+bases into monomials are computed by counting matrices with prescribed
+row structure and column sums. A change into e, s or p peels the
+function itself off the triangular expansions in dominance order,
+building the rows of its nonzero coordinates only; the table of the
+coordinates of each m_lam is the same peel of m_lam. The forgotten and h
+coordinates go through omega, which swaps m with f and e with h; omega
+itself reads the Schur coordinates, since omega s_lam = s_lam'.
 """
 
 from __future__ import annotations
@@ -238,32 +240,83 @@ def _add_scaled(acc, c, row, sign=1) -> None:
             to[k] += x * v
 
 
-class SymFunc:
-    """Homogeneous symmetric function, stored in the monomial basis."""
+def _coefficient(coeff) -> QPoly:
+    """The coeff of basis_element and fundamental: one when None, a
+    QPoly as is, a scalar as a constant QPoly."""
+    if coeff is None:
+        return QPoly.one()
+    return coeff if isinstance(coeff, QPoly) else QPoly((coeff,))
+
+
+class _Graded:
+    """Homogeneous element of Sym or QSym in its monomial basis: the
+    degree and the nonzero QPoly coefficients, keyed by index tuples that
+    the subclass checks (_check). The repr writes each term as
+    _letter[index], indices in decreasing order when _descending."""
 
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree: int, terms=None):
         self.degree = degree
         clean = {}
-        for lam, c in (terms or {}).items():
-            lam = tuple(lam)
-            if sum(lam) != degree or any(p <= 0 for p in lam):
-                raise ValueError(f"{lam} is not a partition of {degree}")
-            if tuple(sorted(lam, reverse=True)) != lam:
-                raise ValueError(f"{lam} is not weakly decreasing")
+        for key, c in (terms or {}).items():
+            key = tuple(key)
+            self._check(key, degree)
             if not isinstance(c, QPoly):
                 c = QPoly((c,))
             if c:
-                clean[lam] = c
+                clean[key] = c
         self.terms = clean
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.degree != other.degree:
+            raise ValueError("degrees differ")
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, QPoly()) + c
+        return self.__class__(self.degree, terms)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return self.__class__(self.degree, {key: v * c for key, v in self.terms.items()})
+
+    def __eq__(self, other):
+        return (
+            other.__class__ is self.__class__
+            and self.degree == other.degree
+            and self.terms == other.terms
+        )
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __repr__(self):
+        terms = sorted(self.terms.items(), reverse=self._descending)
+        body = " + ".join(f"({c.pretty()})*{self._letter}{list(key)}" for key, c in terms)
+        return f"{self.__class__.__name__}({body or '0'})"
+
+
+class SymFunc(_Graded):
+    """Homogeneous symmetric function, stored in the monomial basis."""
+
+    __slots__ = ()
+    _letter, _descending = "m", True
+
+    @staticmethod
+    def _check(lam, degree):
+        if sum(lam) != degree or any(p <= 0 for p in lam):
+            raise ValueError(f"{lam} is not a partition of {degree}")
+        if tuple(sorted(lam, reverse=True)) != lam:
+            raise ValueError(f"{lam} is not weakly decreasing")
 
     @classmethod
     def basis_element(cls, basis: str, lam, coeff=None) -> "SymFunc":
         lam = tuple(sorted(lam, reverse=True))
-        coeff = QPoly.one() if coeff is None else coeff
-        if not isinstance(coeff, QPoly):
-            coeff = QPoly((coeff,))
+        coeff = _coefficient(coeff)
         terms = {}
         for mu, c in basis_to_m(basis, lam).items():
             terms[mu] = coeff * c
@@ -275,32 +328,6 @@ class SymFunc:
         for lam, c in coords.items():
             out = out + cls.basis_element(basis, lam, c)
         return out
-
-    def __add__(self, other):
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError("degrees differ")
-        terms = dict(self.terms)
-        for lam, c in other.terms.items():
-            terms[lam] = terms.get(lam, QPoly()) + c
-        return SymFunc(self.degree, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SymFunc":
-        return SymFunc(self.degree, {lam: v * c for lam, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymFunc)
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def in_basis(self, basis: str) -> dict:
         """Coordinates in the chosen basis, partition -> QPoly, in
@@ -344,39 +371,27 @@ class SymFunc:
         }
         return cls.from_coords(data["basis"], data["degree"], coords)
 
-    def __repr__(self):
-        body = " + ".join(
-            f"({c.pretty()})*m{list(lam)}" for lam, c in sorted(self.terms.items(), reverse=True)
-        )
-        return f"SymFunc({body or '0'})"
 
-
-class QSymFunc:
+class QSymFunc(_Graded):
     """Homogeneous quasisymmetric function in the monomial basis,
     indexed by compositions."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ()
+    _letter, _descending = "M", False
 
-    def __init__(self, degree: int, terms=None):
-        self.degree = degree
-        clean = {}
-        for alpha, c in (terms or {}).items():
-            alpha = tuple(alpha)
-            if sum(alpha) != degree or any(a <= 0 for a in alpha):
-                raise ValueError(f"{alpha} is not a composition of {degree}")
-            if not isinstance(c, QPoly):
-                c = QPoly((c,))
-            if c:
-                clean[alpha] = c
-        self.terms = clean
+    # bound here too for benchmarks/child.py, which wraps it in vars(QSymFunc)
+    __add__ = _Graded.__add__
+
+    @staticmethod
+    def _check(alpha, degree):
+        if sum(alpha) != degree or any(a <= 0 for a in alpha):
+            raise ValueError(f"{alpha} is not a composition of {degree}")
 
     @classmethod
     def fundamental(cls, degree: int, subset, coeff=None) -> "QSymFunc":
         """F_{degree,S} expanded in the monomial basis."""
         subset = frozenset(subset)
-        coeff = QPoly.one() if coeff is None else coeff
-        if not isinstance(coeff, QPoly):
-            coeff = QPoly((coeff,))
+        coeff = _coefficient(coeff)
         rest = sorted(set(range(1, degree)) - subset)
         terms = {}
         for r in range(len(rest) + 1):
@@ -384,32 +399,6 @@ class QSymFunc:
                 alpha = subset_to_composition(degree, subset | set(extra))
                 terms[alpha] = terms.get(alpha, QPoly()) + coeff
         return cls(degree, terms)
-
-    def __add__(self, other):
-        if not isinstance(other, QSymFunc):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError("degrees differ")
-        terms = dict(self.terms)
-        for alpha, c in other.terms.items():
-            terms[alpha] = terms.get(alpha, QPoly()) + c
-        return QSymFunc(self.degree, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "QSymFunc":
-        return QSymFunc(self.degree, {a: v * c for a, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QSymFunc)
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def to_symmetric(self) -> SymFunc:
         """Reinterpret as a symmetric function or raise NotSymmetricError.
@@ -435,12 +424,6 @@ class QSymFunc:
                         raise NotSymmetricError(present[0], beta, ref, c)
             sym_terms[lam] = ref
         return SymFunc(self.degree, sym_terms)
-
-    def __repr__(self):
-        body = " + ".join(
-            f"({c.pretty()})*M{list(a)}" for a, c in sorted(self.terms.items())
-        )
-        return f"QSymFunc({body or '0'})"
 
 
 def _parts_as_mu(lam):

@@ -62,9 +62,10 @@ def test_usage_errors(capsys):
 
 
 def test_unparsable_type_vector_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "expand", "--poset", "2,3,3", "--mu", "a,b,c")
-    assert code == 1 and out == ""
-    assert err == "error: cannot parse type vector 'a,b,c'\n"
+    for command, mu in (("expand", "a,b,c"), ("expand", ""), ("verify", "")):
+        code, out, err = run(capsys, command, "--poset", "2,3,3", "--mu", mu)
+        assert code == 1 and out == ""
+        assert err == f"error: cannot parse type vector {mu!r}\n"
 
 
 @pytest.mark.parametrize("command", ["expand", "verify"])

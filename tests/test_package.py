@@ -6,8 +6,13 @@ benchmarks/child.py is reached by nothing but the tests. Such a name
 moves into the tests, unless it is public API, listed below with its
 reason. Uses are read off the src syntax trees: a function is used
 where a Name or an Attribute node reads it, a method only where an
-Attribute node does (a local variable of the same name is no call). So
-a name that only a comment or a docstring mentions counts as unused.
+Attribute node does (a local variable of the same name is no call), and
+an attribute of an imported module (json.dump) is no use of a method of
+the same name. So a name that only a comment or a docstring mentions
+counts as unused.
+
+The value records are namedtuple subclasses, so no src class writes
+its own freezing or pickling (__setattr__, __delattr__, __reduce__).
 """
 
 import ast
@@ -58,10 +63,18 @@ def _uncalled() -> list:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
                 exported |= set(ast.literal_eval(node.value))
+        modules = {  # names bound by import statements: json.dump is no use of a dump
+            (a.asname or a.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for a in node.names
+        }
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and not (
+                isinstance(node.value, ast.Name) and node.value.id in modules
+            ):
                 attrs.add(node.attr)
     skip = exported | _tracer_names()
     return sorted(
@@ -75,3 +88,16 @@ def _uncalled() -> list:
 
 def test_every_src_name_has_a_caller_or_a_reason():
     assert _uncalled() == sorted(ALLOWED)
+
+
+def test_no_src_class_hand_writes_freezing_or_pickling():
+    hand_written = [
+        f"{path.stem}.{node.name}.{f.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for f in node.body
+        if isinstance(f, ast.FunctionDef)
+        and f.name in ("__setattr__", "__delattr__", "__reduce__")
+    ]
+    assert hand_written == []

@@ -433,6 +433,34 @@ def test_symfunc_validation():
             SymFunc(sum(lam), {lam: 1})
 
 
+def test_sym_and_qsym_share_one_graded_body_but_never_mix():
+    """Index checks, degree checks, kind-strict equality and sums, and
+    the repr of both kinds (strings taken before the two shared a body)."""
+    with pytest.raises(ValueError, match=r"\(1, 2\) is not weakly decreasing"):
+        SymFunc(3, {(1, 2): 1})
+    with pytest.raises(ValueError, match=r"\(2, 0\) is not a composition of 2"):
+        QSymFunc(2, {(2, 0): 1})
+    for one, other in ((SymFunc(3, {(3,): 1}), SymFunc(2)), (QSymFunc(3), QSymFunc(2, {(2,): 1}))):
+        with pytest.raises(ValueError, match="degrees differ"):
+            one + other
+        with pytest.raises(ValueError, match="degrees differ"):
+            one - other
+
+    terms = {(3,): 2, (2, 1): QPoly((0, 1))}
+    sym, qsym = SymFunc(3, terms), QSymFunc(3, terms)
+    assert sym.terms == qsym.terms and sym != qsym and qsym != sym
+    for a, b in ((sym, qsym), (qsym, sym)):
+        with pytest.raises(TypeError):
+            a + b
+    assert sym - sym == SymFunc(3) and not sym - sym and (qsym - qsym).terms == {}
+
+    assert repr(sym) == "SymFunc((2)*m[3] + (q)*m[2, 1])"
+    assert repr(QSymFunc(3, {(2, 1): QPoly((1, 1)), (1, 2): 3})) == (
+        "QSymFunc((3)*M[1, 2] + (1 + q)*M[2, 1])"
+    )
+    assert (repr(SymFunc(3)), repr(QSymFunc(3))) == ("SymFunc(0)", "QSymFunc(0)")
+
+
 def test_basis_round_trips():
     f = SymFunc(
         4,
