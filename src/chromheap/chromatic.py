@@ -34,14 +34,10 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
 
+from . import _resolver
 from .errors import MathematicalError
 from .heaps import HeapClass, descent_positions, enumerate_classes
 from .heaps import _drop_tables, _forbidden_paths
-
-# unused here; bound for benchmarks/child.py, which wraps them in this namespace
-from .heaps import enumerate_heaps  # noqa: F401
-from .ncsf import nc_h, nc_p, nc_s, pair_gamma  # noqa: F401
-from .partitions import multiset_permutations  # noqa: F401
 from .partitions import (
     check_type,
     conjugate,
@@ -54,6 +50,16 @@ from .partitions import (
 from .posets import UnitIntervalOrder
 from .qpoly import QPoly
 from .symfunc import QSymFunc, SymFunc
+
+# unused here; bound for benchmarks/child.py, which wraps them in this namespace
+__getattr__ = _resolver(
+    __name__,
+    {
+        "heaps": ("enumerate_heaps",),
+        "ncsf": ("nc_h", "nc_p", "nc_s", "pair_gamma"),
+        "partitions": ("multiset_permutations",),
+    },
+)
 
 
 class CrossCheckError(MathematicalError, AssertionError):

@@ -14,27 +14,22 @@ import os
 import sys
 from functools import cache
 
-from .chromatic import (
-    chromatic_sym,
-    closed_form_two_column,
-    coeff_e_hook,
-    coeff_e_two_column,
-    coloring_qsym,
-    expansion,
-    positivity_report,
-    sink_sum,
-)
+from . import _resolver
 from .errors import MathematicalError
-from .heaps import Heap, _ascents, _flip_classes
-
-# unused here; bound for benchmarks/child.py, which wraps them in this namespace
-from .heaps import enumerate_classes, enumerate_heaps  # noqa: F401
-from .ncsf import hp_recurrence_check, nc_e, nc_h, nc_p, nc_s
+from .heaps import _ascents, _flip_classes
 from .partitions import check_type, multinomial, partitions, revlex_sorted
 from .posets import UnitIntervalOrder
-from .qpoly import QPoly
-from .render import heap_svg
-from .symfunc import NotSymmetricError
+
+# bound for benchmarks/child.py, which wraps these names in this namespace;
+# the commands import what they read when they run
+__getattr__ = _resolver(
+    __name__,
+    {
+        "chromatic": ("expansion", "coloring_qsym", "coeff_e_two_column", "coeff_e_hook"),
+        "ncsf": ("nc_e", "nc_h", "nc_p", "nc_s"),
+        "heaps": ("enumerate_heaps", "enumerate_classes"),
+    },
+)
 
 DEFAULT_SIZE_LIMIT = 10
 
@@ -120,6 +115,8 @@ def _write(args, *parts: str):
 
 
 def cmd_expand(args) -> int:
+    from .chromatic import expansion
+
     order, mu = _parse_instance(args)
     report = expansion(order, mu, args.basis)
     if args.format == "json":
@@ -158,6 +155,9 @@ def cmd_classes(args) -> int:
     word_text = order.word_text
     as_json = args.format == "json"
     if args.svg:
+        from .heaps import Heap
+        from .render import heap_svg
+
         os.makedirs(args.svg, exist_ok=True)
         index = []
     chunks = []
@@ -216,12 +216,16 @@ def _run_checked(check) -> bool:
 
 
 def _suite_oracle(order, mu):
+    from .chromatic import chromatic_sym, coloring_qsym
+
     asc = cache(lambda: coloring_qsym(order, mu))
     yield "oracle-vs-words", lambda: chromatic_sym(order, mu) == asc().to_symmetric()
     yield "asc-vs-des", lambda: asc() == coloring_qsym(order, mu, "des")
 
 
 def _suite_commutation(order, mu):
+    from .ncsf import nc_e, nc_h
+
     h = order.height
     for k in range(1, h + 1):
         for l in range(k, h + 1):
@@ -233,11 +237,15 @@ def _suite_commutation(order, mu):
 
 
 def _suite_p_equiv(order, mu):
+    from .ncsf import nc_p
+
     for k in range(1, min(sum(mu), 6) + 1):
         yield f"p{k}-words-vs-relation", lambda k=k: nc_p(order, k) == nc_p(order, k, "relation")
 
 
 def _suite_s_equiv(order, mu):
+    from .ncsf import nc_s
+
     for d in range(1, min(sum(mu), 4) + 1):
         for lam in partitions(d):
             yield f"s{list(lam)}-tableaux-vs-jt", lambda lam=lam: (
@@ -246,11 +254,16 @@ def _suite_s_equiv(order, mu):
 
 
 def _suite_sinks(order, mu):
+    from .chromatic import sink_sum
+
     for k in range(1, sum(mu) + 1):
         yield f"sinks-k{k}", lambda k=k: sink_sum(order, mu, k)
 
 
 def _suite_two_column(order, mu):
+    from .chromatic import closed_form_two_column, coeff_e_two_column, expansion
+    from .qpoly import QPoly
+
     d = sum(mu)
     for l in range(0, d // 2 + 1):
         k = d - l
@@ -271,6 +284,8 @@ def _suite_two_column(order, mu):
 
 
 def _suite_hook(order, mu):
+    from .chromatic import coeff_e_hook
+
     d = sum(mu)
     for l in range(1, d - 1):
         a = d - l - 1
@@ -279,6 +294,8 @@ def _suite_hook(order, mu):
 
 
 def _suite_hp(order, mu):
+    from .ncsf import hp_recurrence_check
+
     h = order.height
     found = False
     for d in range(h, min(sum(mu), 6) + 1):
@@ -291,6 +308,8 @@ def _suite_hp(order, mu):
 
 
 def _suite_positivity(order, mu):
+    from .chromatic import positivity_report
+
     report = cache(lambda: positivity_report(order, mu))
     yield "classes-h-positive", lambda: report()["all_classes_h_positive"]
     yield "x-e-positive", lambda: report()["e_positive"]
@@ -354,6 +373,8 @@ def main(argv=None) -> int:
         return 1
     except MathematicalError as exc:
         # before ValueError: NotSymmetricError is one, but not a usage error
+        from .symfunc import NotSymmetricError
+
         kind = "not symmetric: " if isinstance(exc, NotSymmetricError) else ""
         print(f"cross-check failure: {kind}{exc}", file=sys.stderr)
         return 2

@@ -149,6 +149,16 @@ def _bits(mask: int):
 _tables: dict = {}
 
 
+def _order_entries(cache: dict, order: UnitIntervalOrder) -> dict:
+    """The entries of a one-order cache (keyed by bound sequence) for this
+    order; a new order clears the cache first."""
+    entries = cache.get(order.m)
+    if entries is None:
+        cache.clear()
+        entries = cache[order.m] = {}
+    return entries
+
+
 def _drop_tables(order: UnitIntervalOrder, mu) -> tuple:
     """(cols, first, near) for the blocks of type mu in (column,
     position) order: cols is the column of each id, sorted; first[a] is
@@ -160,10 +170,7 @@ def _drop_tables(order: UnitIntervalOrder, mu) -> tuple:
     The tables are built once per order and type; first is a tuple, so
     a drop that advances it takes its own list.
     """
-    by_type = _tables.get(order.m)
-    if by_type is None:
-        _tables.clear()
-        by_type = _tables[order.m] = {}
+    by_type = _order_entries(_tables, order)
     tables = by_type.get(mu)
     if tables is not None:
         return tables

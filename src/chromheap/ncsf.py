@@ -11,6 +11,13 @@ without building the heap); only a normal form not seen before costs a
 flip class, closed on lower masks without building a heap
 (heaps._flip_class).
 
+Generators are cached per order, as representatives are: each
+generator, and each product of generators over a tuple of degrees
+(built from the cached product of its prefix), is built once per order
+and method, and a new order clears the cache. The words and the
+relation of a generator are cached under different keys, so neither
+side of a method agreement reads the other's result.
+
 The elements here serve the class-identity checks (commutation, the
 p/s method agreements, the height recurrence). `chromatic.expansion`
 pairs f/p/s without them: the pairing reads only a class's type and
@@ -22,6 +29,7 @@ from __future__ import annotations
 from .errors import MathematicalError
 from .heaps import (
     _flip_class,
+    _order_entries,
     descent_free_words,
     has_nontrivial_ltr_maximum,
     inversion_count,
@@ -39,6 +47,10 @@ from .symfunc import dual_jacobi_trudi, m_in_basis_coords
 # sequence then by word; a new order clears the dict, so sweeps stay bounded
 _rep_cache: dict = {}
 
+# generators of the last order asked for, keyed by its bound sequence then
+# by (family, method, degree or tuple of degrees); cleared as _rep_cache is
+_gen_cache: dict = {}
+
 
 class NonIntegralWeightError(MathematicalError, ArithmeticError):
     """The e-expansion of a monomial symmetric function had a
@@ -50,10 +62,7 @@ def class_representative(order: UnitIntervalOrder, word) -> tuple:
     word = tuple(word)
     if not word:
         return ()
-    cache = _rep_cache.get(order.m)
-    if cache is None:
-        _rep_cache.clear()
-        cache = _rep_cache[order.m] = {}
+    cache = _order_entries(_rep_cache, order)
     rep = cache.get(word)  # a word that is a key is its own normal form
     if rep is not None:
         return rep
@@ -166,32 +175,46 @@ def unique_sink_words(order: UnitIntervalOrder, k: int):
 # generating functions
 
 
-def _generator(order: UnitIntervalOrder, k, single) -> NCElement:
+def _generator(order: UnitIntervalOrder, family: str, method: str, k, single) -> NCElement:
     """single(k) for a degree k >= 1, one for degree 0, and for a tuple
     the product of its parts' generators in turn; a negative degree is
-    a ValueError."""
+    a ValueError. Each is built once per order: a tuple multiplies the
+    cached product of its prefix by the generator of its last part."""
+    memo = _order_entries(_gen_cache, order)
     if not isinstance(k, int):
-        out = NCElement.one(order)
-        for part in k:
-            out = out * _generator(order, part, single)
+        k = tuple(k)
+    key = (family, method, k)
+    out = memo.get(key)
+    if out is not None:
         return out
-    if k < 0:
+    if isinstance(k, int) and k < 0:
         raise ValueError(f"negative degree {k}")
-    return single(k) if k else NCElement.one(order)
+    if not k:  # degree 0, or the empty product
+        out = NCElement.one(order)
+    elif isinstance(k, int):
+        out = single(k)
+    else:
+        prefix = _generator(order, family, method, k[:-1], single)
+        out = prefix * _generator(order, family, method, k[-1], single)
+    memo[key] = out
+    return out
 
 
 def nc_e(order: UnitIntervalOrder, k) -> NCElement:
     """Elementary generator e_k, or the product e_lam for a tuple."""
-    return _generator(
-        order, k, lambda j: NCElement.from_words(order, strictly_decreasing_words(order, j))
-    )
+
+    def single(k):
+        return NCElement.from_words(order, strictly_decreasing_words(order, k))
+
+    return _generator(order, "e", "words", k, single)
 
 
 def nc_h(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
     """Complete homogeneous generator h_k, or the product h_lam.
 
-    method='words' sums descent-free words; method='relation' builds
-    h_0, ..., h_k in turn from h_i = e_1 h_{i-1} - e_2 h_{i-2} + ...
+    method='words' sums descent-free words; method='relation' evaluates
+    h_k = e_1 h_{k-1} - e_2 h_{k-2} + ..., each h_{k-j} by the relation
+    in turn.
     """
     if method not in ("words", "relation"):
         raise ValueError(f"unknown method {method!r}")
@@ -199,16 +222,12 @@ def nc_h(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
     def single(k):
         if method == "words":
             return NCElement.from_words(order, descent_free_words(order, k))
-        es = [nc_e(order, j) for j in range(k + 1)]
-        hs = [es[0]]  # h_0 = e_0 = 1
-        for i in range(1, k + 1):
-            out = NCElement.zero(order)
-            for j in range(1, i + 1):
-                out = out + (-1) ** (j - 1) * (es[j] * hs[i - j])
-            hs.append(out)
-        return hs[k]
+        out = NCElement.zero(order)
+        for j in range(1, k + 1):
+            out = out + (-1) ** (j - 1) * (nc_e(order, j) * nc_h(order, k - j, "relation"))
+        return out
 
-    return _generator(order, k, single)
+    return _generator(order, "h", method, k, single)
 
 
 def nc_p(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
@@ -230,7 +249,7 @@ def nc_p(order: UnitIntervalOrder, k, method: str = "words") -> NCElement:
             out = out + ((-1) ** (j - 1) * j) * term
         return out
 
-    return _generator(order, k, single)
+    return _generator(order, "p", method, k, single)
 
 
 def nc_s(order: UnitIntervalOrder, lam, method: str = "tableaux") -> NCElement:

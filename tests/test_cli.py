@@ -111,7 +111,7 @@ def test_verify_reports_a_raising_check_as_fail(capsys, monkeypatch, suite, name
     def broken(order, mu, *rest):
         raise CrossCheckError("routes disagree")
 
-    monkeypatch.setattr(cli, name, broken)
+    monkeypatch.setattr(chromatic, name, broken)
     code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "2")
     assert code == 2 and err == ""
     lines = out.strip().splitlines()
@@ -124,7 +124,7 @@ def test_math_errors_exit_2(capsys, monkeypatch, error):
     def broken(order, mu, basis):
         raise error("routes disagree")
 
-    monkeypatch.setattr(cli, "expansion", broken)
+    monkeypatch.setattr(chromatic, "expansion", broken)
     code, out, err = run(capsys, "expand", "--poset", "2,3,3")
     assert code == 2 and out == ""
     assert err == "cross-check failure: routes disagree\n"
@@ -485,6 +485,10 @@ def test_per_instance_caches_hold_one_instance(capsys, monkeypatch):
         assert cache.cache_info().currsize == 1, cache
     # the drop tables are kept for the last order of the sweep only
     assert list(heaps._tables) == [(4, 4, 4, 4)]
+    # so are the NC generators and the class representatives
+    assert run(capsys, "verify", "--suite", "commutation", "--max-n", "4")[0] == 0
+    assert list(ncsf._gen_cache) == list(ncsf._rep_cache) == [(4, 4, 4, 4)]
+    assert ncsf._gen_cache[(4, 4, 4, 4)]
 
 
 @st.composite
@@ -743,13 +747,18 @@ def test_classes_json_is_byte_deterministic():
         assert json.loads(outs.pop())["classes"]
 
 
-def test_cli_import_pulls_in_no_class_boilerplate_modules():
-    """Each call is a fresh interpreter, so importing the CLI must not drag
-    in dataclasses and the inspect chain behind it, nor typing, nor
-    fractions with the decimal and numbers modules it imports. The child
-    runs with -S, so no site hook can preload a module and hide its import."""
+def _modules_loaded(*argv) -> set:
+    """Modules a fresh interpreter adds by importing the CLI and, when argv
+    is given, by running that one command with its stdout discarded. The
+    child runs with -S, so no site hook can preload a module and hide its
+    import."""
     code = (
-        "import sys, json; before = set(sys.modules); import chromheap.cli; "
+        "import contextlib, io, json, sys; before = set(sys.modules)\n"
+        "import chromheap.cli\n"
+        f"argv = {list(argv)!r}\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert chromheap.cli.main(argv) == 0\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     env = dict(os.environ)
@@ -759,8 +768,36 @@ def test_cli_import_pulls_in_no_class_boilerplate_modules():
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, check=True
     )
-    added = set(json.loads(done.stdout))
+    return set(json.loads(done.stdout))
+
+
+def test_cli_import_pulls_in_no_class_boilerplate_modules():
+    """Each call is a fresh interpreter, so importing the CLI must not drag
+    in dataclasses and the inspect chain behind it, nor typing, nor
+    fractions with the decimal and numbers modules it imports. Nor does a
+    call load a chromheap module its command never reads: the CLI loads
+    what parsing and classes need, expand and the verify suites load the
+    chromatic layer when they run, only the NC suites load ncsf, and only
+    --svg loads render."""
+    added = _modules_loaded()
     assert "chromheap.cli" in added
     banned = {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "typing"}
     banned |= {"fractions", "decimal", "numbers"}  # loaded only where a Fraction is made
     assert not added & banned, sorted(added & banned)
+
+    def chromheap(*names):
+        return {f"chromheap.{name}" for name in names}
+
+    unread = chromheap("chromatic", "ncsf", "symfunc", "qpoly", "render")
+    assert not added & unread, sorted(added & unread)
+    loaded = _modules_loaded("classes", "--poset", "2,3,4,4", "--format", "json")
+    unread = chromheap("chromatic", "ncsf", "symfunc", "qpoly")
+    assert not loaded & unread, sorted(loaded & unread)
+    for argv in (
+        ("expand", "--poset", "2,3,4,4", "--basis", "s"),
+        ("verify", "--suite", "oracle", "--max-n", "3"),
+    ):
+        loaded = _modules_loaded(*argv)
+        assert "chromheap.chromatic" in loaded, argv
+        unread = chromheap("ncsf", "render")
+        assert not loaded & unread, (argv, sorted(loaded & unread))

@@ -1,6 +1,7 @@
 """Noncommutative generating functions and the pairing."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -142,6 +143,47 @@ def test_h_words_vs_relation():
     for order in (P233, P23455):
         for k in range(1, 5):
             assert nc_h(order, k) == nc_h(order, k, "relation")
+
+
+def _h_chain_by_relation(order, k):
+    """Reference for nc_h(order, k, "relation"): the whole chain h_0..h_k
+    built in turn from h_i = e_1 h_{i-1} - e_2 h_{i-2} + ..., each e_j
+    from its words, with no generator cache."""
+    es = [NCElement.one(order)] + [
+        NCElement.from_words(order, strictly_decreasing_words(order, j)) for j in range(1, k + 1)
+    ]
+    hs = [es[0]]
+    for i in range(1, k + 1):
+        out = NCElement.zero(order)
+        for j in range(1, i + 1):
+            out = out + (-1) ** (j - 1) * (es[j] * hs[i - j])
+        hs.append(out)
+    return hs[k]
+
+
+def _e_product_by_words(order, parts):
+    out = NCElement.one(order)
+    for k in parts:
+        out = out * NCElement.from_words(order, strictly_decreasing_words(order, k))
+    return out
+
+
+def test_cached_generators_equal_their_uncached_builds(monkeypatch):
+    """The per-order generator cache changes no element: h by the relation
+    equals the explicit chain, and every e product over a composition of
+    k <= 5 is the same built cold, built warm, and multiplied out from
+    the words, for every order with n <= 4."""
+    comps = [c for n in range(6) for c in product(range(1, 6), repeat=n) if sum(c) <= 5]
+    for n in range(1, 5):
+        for order in UnitIntervalOrder.all_orders(n):
+            for k in range(6):
+                assert nc_h(order, k, "relation") == _h_chain_by_relation(order, k), (order, k)
+            warm = {c: nc_e(order, c) for c in reversed(comps)}
+            for c in comps:
+                monkeypatch.setattr(ncsf, "_gen_cache", {})
+                cold = nc_e(order, c)
+                assert cold == warm[c] == _e_product_by_words(order, c), (order, c)
+            assert nc_e(order, [2, 1]) is nc_e(order, (2, 1))  # built once per order
 
 
 def test_p_words_vs_relation():

@@ -18,6 +18,8 @@ its own freezing or pickling (__setattr__, __delattr__, __reduce__).
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "chromheap"
 
@@ -101,3 +103,21 @@ def test_no_src_class_hand_writes_freezing_or_pickling():
         and f.name in ("__setattr__", "__delattr__", "__reduce__")
     ]
     assert hand_written == []
+
+
+def test_every_export_resolves_on_first_access():
+    """chromheap imports each export from its module on first access, so
+    every name of __all__ must resolve, be listed by dir() and be bound
+    by import *, and any other name must raise AttributeError."""
+    import chromheap
+
+    for name in chromheap.__all__:
+        value = getattr(chromheap, name)
+        assert getattr(value, "__name__", name) == name, name
+    assert set(chromheap.__all__) <= set(dir(chromheap))
+    namespace = {}
+    exec("from chromheap import *", namespace)
+    assert set(chromheap.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(chromheap, name) for name in chromheap.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chromheap.no_such_name

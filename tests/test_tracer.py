@@ -3,7 +3,9 @@ wraps, so a renamed or unbound function fails here, not in a benchmark;
 and one traced call per subcommand, and the e expansion and the sinks
 and oracle suites, run through the wrapped names, so a change that
 breaks a wrapped call (such as coloring_qsym, coeff_e_* or
-m_in_basis_coords) fails here too."""
+m_in_basis_coords) fails here too. The tiny self-check instance of each
+benchmark workload runs traced as the benchmark runs it, so a name the
+tracer cannot find fails a test instead of the whole benchmark run."""
 
 import os
 import subprocess
@@ -13,6 +15,21 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "benchmarks"
+
+
+def _benchmark_run():
+    """benchmarks/run.py, imported for its WORKLOADS table and the helpers
+    that build a child's command and environment."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import run
+    finally:
+        sys.path.remove(str(BENCH))
+    return run
+
+
+RUN = _benchmark_run()
 
 
 def test_benchmark_tracer_installs():
@@ -41,4 +58,13 @@ def test_a_traced_call_reports_once(argv):
     done = subprocess.run(child, capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     reports = [line for line in done.stderr.splitlines() if line.startswith("BENCHREPORT ")]
+    assert len(reports) == 1, done.stderr
+
+
+@pytest.mark.parametrize("workload", sorted(RUN.WORKLOADS))
+def test_each_workload_self_check_runs_traced(workload):
+    argv = RUN.cli_argv(RUN.WORKLOADS[workload]["tiny"], True)
+    done = subprocess.run(argv, cwd=ROOT, env=RUN.child_env(0), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    reports = [line for line in done.stderr.splitlines() if line.startswith(RUN.MARKER)]
     assert len(reports) == 1, done.stderr
