@@ -12,19 +12,14 @@ does not read.
 """
 
 _HOMES = {
-    "errors": ("MathematicalError",),
+    "errors": ("MathematicalError", "CrossCheckError"),
     "qpoly": ("QPoly", "q_int", "q_factorial"),
     "posets": ("UnitIntervalOrder", "DyckPath"),
     "heaps": ("Heap", "HeapClass", "enumerate_heaps", "enumerate_classes"),
     "ncsf": ("NCElement", "nc_e", "nc_h", "nc_p", "nc_s", "nc_m", "pair_gamma"),
     "symfunc": ("SymFunc", "QSymFunc", "NotSymmetricError"),
-    "chromatic": (
-        "coloring_qsym",
-        "chromatic_sym",
-        "expansion",
-        "ExpansionReport",
-        "CrossCheckError",
-    ),
+    "chromatic": ("chromatic_sym", "expansion", "ExpansionReport"),
+    "oracle": ("coloring_qsym",),
 }
 
 

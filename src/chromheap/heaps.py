@@ -196,7 +196,7 @@ def _drop(order: UnitIntervalOrder, word) -> tuple:
     lower blocks are those dropped before it in the columns touching
     its own.
 
-    Heap.from_word and _flip_class drop here, chromatic._e_heap_sums
+    Heap.from_word and _flip_class drop here, heap_sides._e_heap_sums
     from the same tables. The test reference OrientedHeap.from_word
     orients every pair of letters on its own and must not call this, so
     that it checks the drop independently.

@@ -73,11 +73,16 @@ def words(room, k=None, after=None):
     room[a-1] times, in lexicographic order, by pruned search.
 
     Letters are 1-based. With a follow table, letter b may come right
-    after letter a only when bit b of after[a] is set.
+    after letter a only when bit b of after[a] is set. The search keeps
+    one iterator over the candidates per letter of the word so far, in
+    one frame, so a word costs no generator frame per letter.
     """
     n = len(room)
     if k is None:
         k = sum(room)
+    if k == 0:
+        yield ()
+        return
     room = [0, *room]  # indexed by letter
     letters = range(1, n + 1)
     if after is None:
@@ -85,20 +90,24 @@ def words(room, k=None, after=None):
     else:
         nexts = [tuple(b for b in letters if after[a] >> b & 1) for a in range(n + 1)]
     word = []
-
-    def rec(candidates):
-        if len(word) == k:
-            yield tuple(word)
-            return
-        for a in candidates:
+    last = k - 1  # the length at which a letter completes a word
+    stack = [iter(letters)]  # candidates for the next letter, per prefix length
+    while stack:
+        for a in stack[-1]:
             if room[a] > 0:
+                if len(word) == last:
+                    word.append(a)
+                    yield tuple(word)
+                    word.pop()
+                    continue
                 room[a] -= 1
                 word.append(a)
-                yield from rec(nexts[a])
-                word.pop()
-                room[a] += 1
-
-    yield from rec(letters)
+                stack.append(iter(nexts[a]))
+                break
+        else:
+            stack.pop()
+            if word:
+                room[word.pop()] += 1
 
 
 def multiset_permutations(mu):

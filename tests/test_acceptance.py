@@ -8,16 +8,11 @@ import random
 import time
 from itertools import product
 
-from chromheap.chromatic import (
-    chromatic_sym,
-    closed_form_two_column,
-    coloring_qsym,
-    expansion,
-    positivity_report,
-    sink_sum,
-)
+from chromheap.chromatic import chromatic_sym, expansion
+from chromheap.heap_sides import closed_form_two_column, positivity_report, sink_sum
 from chromheap.heaps import enumerate_classes, enumerate_heaps
 from chromheap.ncsf import hp_recurrence_check, nc_e, nc_h, nc_p, nc_s, pair_gamma
+from chromheap.oracle import coloring_qsym
 from chromheap.partitions import conjugate, partitions
 from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly

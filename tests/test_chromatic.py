@@ -1,8 +1,11 @@
 """Chromatic functions: oracle, word route, expansions and theorems."""
 
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -10,28 +13,30 @@ from hypothesis import assume, given, settings, strategies as st
 
 import chromheap.chromatic as chromatic
 import chromheap.cli as cli
+import chromheap.heap_sides as heap_sides
+import chromheap.oracle as oracle
+import chromheap.pairing as pairing
 import chromheap.symfunc as symfunc
 from chromheap.chromatic import (
     CrossCheckError,
-    _class_masks,
-    _coloring_tally,
     _complemented,
-    _e_heap_sums,
     _fundamental_to_monomial,
+    chromatic_sym,
+    expansion,
+    omega_chromatic_qsym,
+    omega_chromatic_sym,
+)
+from chromheap.heap_sides import (
+    _class_masks,
+    _e_heap_sums,
     _sink_polys,
     _word_masks,
-    chromatic_sym,
     class_qsym,
     class_sym,
     closed_form_two_column,
     coeff_e_hook,
     coeff_e_two_column,
-    coloring_qsym,
-    expansion,
-    omega_chromatic_qsym,
-    omega_chromatic_sym,
     positivity_report,
-    proper_colorings,
     sink_sum,
 )
 from chromheap.heaps import (
@@ -42,6 +47,7 @@ from chromheap.heaps import (
     inversion_count,
 )
 from chromheap.ncsf import nc_h, pair_gamma
+from chromheap.oracle import _coloring_tally, coloring_qsym, proper_colorings
 from chromheap.partitions import check_type, multinomial, multiset_permutations
 from chromheap.posets import DyckPath, UnitIntervalOrder
 from chromheap.qpoly import QPoly, q_factorial
@@ -59,6 +65,18 @@ from test_symfunc import compositions, eval_ones
 
 P233 = UnitIntervalOrder((2, 3, 3))
 P23455 = UnitIntervalOrder((2, 3, 4, 5, 5))
+
+
+def refuse_in(monkeypatch, reader, homes, refuse):
+    """Refuse each name of homes ({module: names}) where it is defined,
+    which must be a real object there, and in the globals of reader, the
+    module whose code is under test. So the refusal bites whether the
+    code reads the name through its home module when it runs or bound
+    it as a global of its own."""
+    for home, names in homes.items():
+        for name in names:
+            monkeypatch.setattr(home, name, refuse)
+            monkeypatch.setattr(reader, name, refuse, raising=False)
 
 
 def coloring_ascents(order: UnitIntervalOrder, coloring) -> int:
@@ -480,8 +498,12 @@ def test_coloring_transfer_takes_no_other_route(monkeypatch):
         raise AssertionError("the coloring oracle took another route")
 
     word_route = ("_descent_polys", "_fundamental_to_monomial", "_unpack")
-    for name in (*word_route, "_pairings", "_sink_polys"):
-        monkeypatch.setattr(chromatic, name, refuse)
+    homes = {
+        chromatic: word_route,
+        pairing: ("_pairings",),
+        heap_sides: ("_e_heap_sums", "_sink_polys"),
+    }
+    refuse_in(monkeypatch, oracle, homes, refuse)
     for name in ("_peel", "_add_scaled"):  # the basis change
         monkeypatch.setattr(symfunc, name, refuse)
     _coloring_tally.cache_clear()
@@ -661,9 +683,9 @@ def test_two_column_and_hook_cross_checks_pass():
 
 
 def _in_hook_family_abc(h, l):
-    """Reference for chromatic._in_hook_family: conditions (A), (B) and
-    (C) as stated at coeff_e_hook, with (A) read off the flippable
-    triples and (C) from the exhaustive forbidden-path search."""
+    """Reference for the hook test of heap_sides._e_heap_sums: conditions
+    (A), (B) and (C) as stated at coeff_e_hook, with (A) read off the
+    flippable triples and (C) from the exhaustive forbidden-path search."""
     if h.sink_count != l + 1:
         return False
     rank2 = [b for b in range(h.size) if h.levels[b] == 2]
@@ -685,7 +707,7 @@ def _in_hook_family_abc(h, l):
 
 
 def _in_hook_family_by_masks(h, l):
-    """The hook test of chromatic._e_heap_sums on a Heap: l + 1 sinks and
+    """The hook test of heap_sides._e_heap_sums on a Heap: l + 1 sinks and
     one rank-2 block, or two with equal lower masks ((A) and (B)) and no
     forbidden path (C)."""
     rank2 = [h.lower[b] for b in range(h.size) if h.levels[b] == 2]
@@ -847,8 +869,8 @@ def test_heap_sides_never_take_the_basis_change(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the heap side took the basis change")
 
-    for name in ("_descent_polys", "_fundamental_to_monomial"):
-        monkeypatch.setattr(chromatic, name, refuse)
+    homes = {chromatic: ("_descent_polys", "_fundamental_to_monomial", "_e_coefficients")}
+    refuse_in(monkeypatch, heap_sides, homes, refuse)
     monkeypatch.setattr(SymFunc, "in_basis", refuse)
     for name in ("m_in_basis_coords", "_peel", "_add_scaled"):
         monkeypatch.setattr(symfunc, name, refuse)
@@ -864,9 +886,36 @@ def test_chromatic_sym_never_takes_the_heap_sides(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the word route took a heap side or a transfer")
 
-    for name in ("_e_heap_sums", "_sink_polys", "_pairings", "_coloring_tally"):
-        monkeypatch.setattr(chromatic, name, refuse)
+    homes = {
+        heap_sides: ("_e_heap_sums", "_sink_polys"),
+        pairing: ("_pairings",),
+        oracle: ("_coloring_tally",),
+    }
+    refuse_in(monkeypatch, chromatic, homes, refuse)
     assert [chromatic_sym(order, mu) for order, mu in instances] == want
+
+
+def _chromheap_modules_after(statement) -> set:
+    """The chromheap modules a fresh interpreter holds after running one
+    import statement."""
+    code = f"import json, sys; {statement}; print(json.dumps(sorted(sys.modules)))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, check=True, text=True
+    )
+    return {m.split(".")[1] for m in json.loads(done.stdout) if m.startswith("chromheap.")}
+
+
+def test_the_independent_routes_share_no_module_level_import():
+    """Never the same code, visible in the imports: the oracle, the
+    pairing transfer and the heap sides import nothing from the word
+    route at module level, and the word route imports none of them."""
+    routes = {"oracle", "pairing", "heap_sides"}
+    loaded = _chromheap_modules_after("import " + ", ".join(f"chromheap.{m}" for m in routes))
+    assert routes <= loaded and "chromatic" not in loaded, sorted(loaded)
+    loaded = _chromheap_modules_after("import chromheap.chromatic")
+    assert "chromatic" in loaded and not loaded & routes, sorted(loaded)
 
 
 def test_sink_sum():

@@ -15,10 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import chromheap.chromatic as chromatic
 import chromheap.cli as cli
+import chromheap.heap_sides as heap_sides
 import chromheap.heaps as heaps
 import chromheap.ncsf as ncsf
+import chromheap.suites as suites
 import chromheap.symfunc as symfunc
-from chromheap.chromatic import CrossCheckError, expansion, positivity_report
+from chromheap.chromatic import CrossCheckError, expansion
+from chromheap.heap_sides import positivity_report
 from chromheap.cli import main
 from chromheap.heaps import Heap
 from chromheap.ncsf import NonIntegralWeightError
@@ -111,7 +114,8 @@ def test_verify_reports_a_raising_check_as_fail(capsys, monkeypatch, suite, name
     def broken(order, mu, *rest):
         raise CrossCheckError("routes disagree")
 
-    monkeypatch.setattr(chromatic, name, broken)
+    # each suite reads the name from the module patched here
+    monkeypatch.setattr(heap_sides if name == "positivity_report" else chromatic, name, broken)
     code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "2")
     assert code == 2 and err == ""
     lines = out.strip().splitlines()
@@ -180,11 +184,11 @@ def test_perturbed_e_source_fails_the_two_column_check(monkeypatch):
 def test_perturbed_e_source_fails_the_sink_sum(monkeypatch):
     order = UnitIntervalOrder.from_text("2,3,4,5,5")
     mu = (1,) * 5
-    assert chromatic.sink_sum(order, mu, 3) == QPoly.monomial(2)
+    assert heap_sides.sink_sum(order, mu, 3) == QPoly.monomial(2)
     _perturbed_e_source(monkeypatch, (2, 2, 1))
     text = "sink sum k=3: heaps give q^2, e-report row sums give 1 + q^2"
     with pytest.raises(CrossCheckError) as info:
-        chromatic.sink_sum(order, mu, 3)
+        heap_sides.sink_sum(order, mu, 3)
     assert str(info.value) == text
 
 
@@ -470,7 +474,7 @@ def test_verify_output_is_frozen(capsys, argv):
 
 
 def test_per_instance_caches_hold_one_instance(capsys, monkeypatch):
-    caches = (chromatic._e_coefficients, chromatic._e_heap_sums, chromatic._sink_polys)
+    caches = (chromatic._e_coefficients, heap_sides._e_heap_sums, heap_sides._sink_polys)
     for cache in caches:
         cache.cache_clear()
     # classes are closed from the descent-free words, never from the
@@ -504,7 +508,7 @@ def cheap_argv(draw):
     if argv[0] == "expand":
         argv += ["--basis", draw(st.sampled_from("fpsemh"))]
     elif argv[0] == "verify":
-        argv += ["--suite", draw(st.sampled_from([*cli.SUITES, "all"]))]
+        argv += ["--suite", draw(st.sampled_from([*cli.SUITE_NAMES, "all"]))]
     max_n = draw(st.sampled_from([None, 0, 1, 5]))
     if max_n is not None:
         argv += ["--max-n", str(max_n)]
@@ -774,30 +778,53 @@ def _modules_loaded(*argv) -> set:
 def test_cli_import_pulls_in_no_class_boilerplate_modules():
     """Each call is a fresh interpreter, so importing the CLI must not drag
     in dataclasses and the inspect chain behind it, nor typing, nor
-    fractions with the decimal and numbers modules it imports. Nor does a
-    call load a chromheap module its command never reads: the CLI loads
-    what parsing and classes need, expand and the verify suites load the
-    chromatic layer when they run, only the NC suites load ncsf, and only
-    --svg loads render."""
+    fractions with the decimal and numbers modules it imports."""
     added = _modules_loaded()
     assert "chromheap.cli" in added
     banned = {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "typing"}
     banned |= {"fractions", "decimal", "numbers"}  # loaded only where a Fraction is made
     assert not added & banned, sorted(added & banned)
 
-    def chromheap(*names):
-        return {f"chromheap.{name}" for name in names}
 
-    unread = chromheap("chromatic", "ncsf", "symfunc", "qpoly", "render")
-    assert not added & unread, sorted(added & unread)
-    loaded = _modules_loaded("classes", "--poset", "2,3,4,4", "--format", "json")
-    unread = chromheap("chromatic", "ncsf", "symfunc", "qpoly")
-    assert not loaded & unread, sorted(loaded & unread)
-    for argv in (
-        ("expand", "--poset", "2,3,4,4", "--basis", "s"),
-        ("verify", "--suite", "oracle", "--max-n", "3"),
-    ):
-        loaded = _modules_loaded(*argv)
-        assert "chromheap.chromatic" in loaded, argv
-        unread = chromheap("ncsf", "render")
-        assert not loaded & unread, (argv, sorted(loaded & unread))
+# The chromheap modules each call loads, past the package itself: a call
+# loads no module its command never reads. Every route of chromatic has
+# a module of its own: pairing for f, p and s, heap_sides (with heaps)
+# for e and the heap-side suites, oracle for the oracle suite; only the
+# NC suites load ncsf, and only verify loads the suites.
+BASE = ("cli", "errors", "partitions", "posets")
+WORD_ROUTE = (*BASE, "chromatic", "symfunc", "qpoly")
+HEAP_SIDES = (*WORD_ROUTE, "heap_sides", "heaps")
+NC = (*BASE, "ncsf", "heaps", "symfunc", "qpoly", "suites")
+MODULES_LOADED = {
+    (): BASE,
+    ("classes", "--poset", "2,3,4,4", "--format", "json"): (*BASE, "heaps"),
+    **{
+        ("expand", "--poset", "2,3,4,4", "--basis", basis): (*WORD_ROUTE, "pairing")
+        for basis in "fps"
+    },
+    ("expand", "--poset", "2,3,4,4", "--basis", "e"): HEAP_SIDES,
+    ("expand", "--poset", "2,3,4,4", "--basis", "m"): WORD_ROUTE,
+    ("expand", "--poset", "2,3,4,4", "--basis", "h"): WORD_ROUTE,
+    ("verify", "--suite", "oracle", "--max-n", "3"): (*WORD_ROUTE, "oracle", "suites"),
+    **{("verify", "--suite", suite, "--max-n", "3"): NC for suite in (
+        "commutation", "p-equiv", "s-equiv", "hp-recurrence"
+    )},
+    **{("verify", "--suite", suite, "--max-n", "3"): (*HEAP_SIDES, "suites") for suite in (
+        "sinks", "two-column", "hook", "positivity"
+    )},
+}
+
+
+@pytest.mark.parametrize("argv", list(MODULES_LOADED), ids=lambda argv: " ".join(argv) or "import")
+def test_each_call_loads_exactly_its_modules(argv):
+    loaded = {name for name in _modules_loaded(*argv) if name.startswith("chromheap.")}
+    assert loaded == {f"chromheap.{name}" for name in MODULES_LOADED[argv]}
+
+
+def test_the_module_table_covers_every_basis_and_suite():
+    """MODULES_LOADED has a row for every basis and suite, and the CLI
+    lists the suites as chromheap.suites defines them, in order."""
+    assert tuple(suites.SUITES) == cli.SUITE_NAMES
+    rows = [argv for argv in MODULES_LOADED if argv]
+    assert {argv[-1] for argv in rows if argv[0] == "expand"} == set("fpsemh")
+    assert {argv[2] for argv in rows if argv[0] == "verify"} == set(cli.SUITE_NAMES)

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 
 import chromheap.chromatic as chromatic
 import chromheap.ncsf as ncsf
+import chromheap.pairing as pairing
 import chromheap.symfunc as symfunc
-from chromheap.chromatic import _pairings
 from chromheap.errors import MathematicalError
 from chromheap.ncsf import (
     NCElement,
@@ -28,11 +28,12 @@ from chromheap.ncsf import (
     unique_sink_words,
 )
 from chromheap.heaps import enumerate_classes
+from chromheap.pairing import _pairings
 from chromheap.partitions import partitions
 from chromheap.posets import UnitIntervalOrder
 from chromheap.qpoly import QPoly
 from chromheap.symfunc import QSymFunc, SymFunc
-from test_chromatic import orders_and_types
+from test_chromatic import orders_and_types, refuse_in
 from test_heaps import is_descent_free
 
 P233 = UnitIntervalOrder((2, 3, 3))
@@ -244,8 +245,8 @@ def test_pairings_never_take_the_word_route(monkeypatch, order, mu):
     def refuse(*args, **kwargs):
         raise AssertionError("the pairing took the word route")
 
-    for name in ("_descent_polys", "_fundamental_to_monomial", "_unpack"):
-        monkeypatch.setattr(chromatic, name, refuse)
+    homes = {chromatic: ("_descent_polys", "_fundamental_to_monomial", "_unpack")}
+    refuse_in(monkeypatch, pairing, homes, refuse)
     monkeypatch.setattr(QSymFunc, "to_symmetric", refuse)
     monkeypatch.setattr(SymFunc, "in_basis", refuse)
     monkeypatch.setattr(symfunc, "_peel", refuse)

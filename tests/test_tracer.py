@@ -3,10 +3,12 @@ wraps, so a renamed or unbound function fails here, not in a benchmark;
 and one traced call per subcommand, and the e expansion and the sinks
 and oracle suites, run through the wrapped names, so a change that
 breaks a wrapped call (such as coloring_qsym, coeff_e_* or
-m_in_basis_coords) fails here too. The tiny self-check instance of each
-benchmark workload runs traced as the benchmark runs it, so a name the
-tracer cannot find fails a test instead of the whole benchmark run."""
+m_in_basis_coords), or calls one past its wrapper, fails here too. The
+tiny self-check instance of each benchmark workload runs traced as the
+benchmark runs it, so a name the tracer cannot find fails a test
+instead of the whole benchmark run."""
 
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +42,19 @@ def test_benchmark_tracer_installs():
     assert done.returncode == 0, done.stderr
 
 
+# Spans each call must open. The names child.py wraps in chromatic live
+# in the modules of its routes, which are called through chromatic: a
+# call by a bare name of the defining module would bypass the wrapper.
+SPANS_SEEN = {
+    ("expand", "--poset", "2,3,3", "--mu", "1,1,2", "--basis", "s"): ("chromatic.expansion",),
+    ("expand", "--poset", "2,3,4,5,5", "--basis", "e"): (
+        "chromatic.coeff_e_two_column",
+        "chromatic.coeff_e_hook",
+    ),
+    ("verify", "--suite", "oracle", "--max-n", "3"): ("chromatic.coloring_qsym",),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -59,6 +74,11 @@ def test_a_traced_call_reports_once(argv):
     assert done.returncode == 0, done.stderr
     reports = [line for line in done.stderr.splitlines() if line.startswith("BENCHREPORT ")]
     assert len(reports) == 1, done.stderr
+    calls: dict = {}
+    for name, _, n, *_ in json.loads(reports[0][len("BENCHREPORT "):])["spans"]:
+        calls[name] = calls.get(name, 0) + n
+    for span in SPANS_SEEN.get(argv, ()):
+        assert calls.get(span, 0) > 0, (span, sorted(calls))
 
 
 @pytest.mark.parametrize("workload", sorted(RUN.WORKLOADS))
